@@ -316,17 +316,24 @@ func BenchmarkForkSweepForked(b *testing.B) { benchForkSweep(b, true) }
 
 // --- substrate micro-benchmarks ---
 
-// BenchmarkEngineTicks measures raw co-simulation throughput: virtual
-// seconds of a 24-rank LAMMPS run simulated per wall second.
-func BenchmarkEngineTicks(b *testing.B) {
+// benchEngine measures raw co-simulation throughput: virtual seconds of a
+// 24-rank LAMMPS run simulated per wall second, under a 110 W Constant cap
+// when capped, in fixed-tick oracle mode when fixedTick.
+func benchEngine(b *testing.B, capped, fixedTick bool) {
 	b.ReportAllocs()
 	var virtual time.Duration
 	for i := 0; i < b.N; i++ {
 		cfg := engine.DefaultConfig()
+		cfg.FixedTick = fixedTick
 		cfg.Seed = uint64(i + 1)
 		e, err := engine.New(cfg, apps.LAMMPS(apps.DefaultRanks, 100))
 		if err != nil {
 			b.Fatal(err)
+		}
+		if capped {
+			if err := e.SetScheme(policy.Constant{Watts: 110}); err != nil {
+				b.Fatal(err)
+			}
 		}
 		res, err := e.Run(time.Minute)
 		if err != nil {
@@ -336,55 +343,26 @@ func BenchmarkEngineTicks(b *testing.B) {
 	}
 	b.ReportMetric(virtual.Seconds()/b.Elapsed().Seconds(), "virtual-s/s")
 }
+
+// BenchmarkEngineTicks is the uncapped throughput: RAPL is quiescent, so
+// only workload boundaries and window edges bound the event horizon.
+func BenchmarkEngineTicks(b *testing.B) { benchEngine(b, false, false) }
 
 // BenchmarkEngineTicksCapped is the same measurement with an active RAPL
 // capping loop. The controller is never quiescent here, so the event
 // horizon is bounded by the 1ms control period — the honest throughput
 // number for capped production runs, where the uncapped benchmark's
 // control-skip optimization cannot apply.
-func BenchmarkEngineTicksCapped(b *testing.B) {
-	b.ReportAllocs()
-	var virtual time.Duration
-	for i := 0; i < b.N; i++ {
-		cfg := engine.DefaultConfig()
-		cfg.Seed = uint64(i + 1)
-		e, err := engine.New(cfg, apps.LAMMPS(apps.DefaultRanks, 100))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := e.SetScheme(policy.Constant{Watts: 110}); err != nil {
-			b.Fatal(err)
-		}
-		res, err := e.Run(time.Minute)
-		if err != nil {
-			b.Fatal(err)
-		}
-		virtual += res.Elapsed
-	}
-	b.ReportMetric(virtual.Seconds()/b.Elapsed().Seconds(), "virtual-s/s")
-}
+func BenchmarkEngineTicksCapped(b *testing.B) { benchEngine(b, true, false) }
 
 // BenchmarkEngineTicksFixed pins the fixed-tick oracle's cost on the
 // uncapped workload, so the macro-vs-tick gap itself is tracked.
-func BenchmarkEngineTicksFixed(b *testing.B) {
-	b.ReportAllocs()
-	var virtual time.Duration
-	for i := 0; i < b.N; i++ {
-		cfg := engine.DefaultConfig()
-		cfg.FixedTick = true
-		cfg.Seed = uint64(i + 1)
-		e, err := engine.New(cfg, apps.LAMMPS(apps.DefaultRanks, 100))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := e.Run(time.Minute)
-		if err != nil {
-			b.Fatal(err)
-		}
-		virtual += res.Elapsed
-	}
-	b.ReportMetric(virtual.Seconds()/b.Elapsed().Seconds(), "virtual-s/s")
-}
+func BenchmarkEngineTicksFixed(b *testing.B) { benchEngine(b, false, true) }
+
+// BenchmarkEngineTicksCappedFixed is the oracle's cost on the capped
+// workload: the reference BenchmarkEngineTicksCapped's macro-stepping is
+// measured against.
+func BenchmarkEngineTicksCappedFixed(b *testing.B) { benchEngine(b, true, true) }
 
 func BenchmarkWorkloadStep(b *testing.B) {
 	w := apps.STREAM(apps.DefaultRanks, 1<<30)

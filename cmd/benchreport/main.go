@@ -9,9 +9,9 @@
 // It parses standard testing.B result lines — including custom metrics
 // such as the engine's virtual-s/s — plus the trailing `ok <pkg> <secs>`
 // line, which it records as the suite wall time. Repeated lines for one
-// benchmark (`go test -count=N`) collapse to the fastest sample, and
-// Serial/Parallel benchmark pairs gain a derived parallel_speedup
-// metric. With -before, a prior
+// benchmark (`go test -count=N`) collapse to the fastest sample, and on a
+// host with more than one CPU, Serial/Parallel benchmark pairs gain a
+// derived parallel_speedup metric. With -before, a prior
 // report is embedded under "before" so a single file carries the
 // before/after pair for a PR. With -echo, input lines are copied to
 // stdout so the tool can sit at the end of a pipe without hiding the
@@ -59,8 +59,8 @@ type Report struct {
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	// NumCPU is the machine's physical parallelism budget, distinct from
-	// GOMAXPROCS (which a runner may pin): a parallel_speedup of ~1.0 on
-	// a 1-CPU host is expected, not a regression.
+	// GOMAXPROCS (which a runner may pin). On a 1-CPU host no
+	// parallel_speedup is derived: its ~1.0 would be noise, not a result.
 	NumCPU       int         `json:"num_cpu,omitempty"`
 	SuiteSeconds float64     `json:"suite_seconds,omitempty"`
 	Benchmarks   []Benchmark `json:"benchmarks"`
@@ -226,7 +226,9 @@ func (rep *Report) addBenchmark(b Benchmark) {
 // lines cannot express. For every Serial/Parallel benchmark pair
 // (BenchmarkXSerial / BenchmarkXParallel), the Parallel entry gains a
 // parallel_speedup metric — serial ns/op over parallel ns/op — so the
-// sharding win is tracked as a first-class number in the baseline. A
+// sharding win is tracked as a first-class number in the baseline,
+// unless the report was taken on one CPU, where there is no win to
+// measure. A
 // Scratch/Forked pair gains fork_speedup on the Forked entry the same
 // way, and any benchmark reporting fork_hits/fork_runs custom metrics
 // gains fork_hit_rate, tracking checkpoint-pool effectiveness.
@@ -234,7 +236,7 @@ func addDerivedMetrics(rep *Report) {
 	serial := map[string]float64{}
 	scratch := map[string]float64{}
 	for _, b := range rep.Benchmarks {
-		if base, ok := strings.CutSuffix(b.Name, "Serial"); ok {
+		if base, ok := strings.CutSuffix(b.Name, "Serial"); ok && rep.NumCPU != 1 {
 			if ns := b.Metrics["ns/op"]; ns > 0 {
 				serial[base] = ns
 			}

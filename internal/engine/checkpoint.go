@@ -133,6 +133,9 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 		return nil, fmt.Errorf("engine: checkpoint at %v, not on the %v window grid", now, e.cfg.Window)
 	}
 	for _, j := range e.jobs {
+		if at := j.exec.At(); at != now {
+			return nil, fmt.Errorf("engine: checkpoint with %s consumed only up to %v", j.res.Workload, at)
+		}
 		if n := j.sub.Pending(); n != 0 {
 			return nil, fmt.Errorf("engine: checkpoint with %d undrained reports for %s", n, j.res.Workload)
 		}

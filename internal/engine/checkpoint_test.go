@@ -359,6 +359,7 @@ func TestEngineStateInventory(t *testing.T) {
 				"payloadFree":    "allocation recycling cache; affects allocation only, never results",
 				"windowHook":     "Checkpoint refuses engines with a hook (closures cannot be deep-copied)",
 				"pubFaults":      "derived view of faults; SetFaults reinstalls it on the resumed engine",
+				"span":           "workload-composition cache; every job has consumed up to the window edge a checkpoint sits on, so the resumed engine refolds the same values",
 			},
 		},
 		{
@@ -555,13 +556,15 @@ func TestEngineStateInventory(t *testing.T) {
 				"tripped", "deadmanTrips",
 			},
 			exempt: map[string]string{
-				"dev":    "wiring",
-				"domain": "wiring",
-				"uncore": "wiring",
-				"model":  "construction configuration",
-				"meter":  "wiring; snapshotted at the engine level",
-				"opts":   "construction configuration",
-				"units":  "construction configuration (decoded once from the unit register)",
+				"dev":           "wiring",
+				"domain":        "wiring",
+				"uncore":        "wiring",
+				"model":         "construction configuration",
+				"meter":         "wiring; snapshotted at the engine level",
+				"opts":          "construction configuration",
+				"units":         "construction configuration (decoded once from the unit register)",
+				"published":     "publish cache; Restore clears it, so the first Control republishes the value the device snapshot already holds",
+				"havePublished": "publish cache; see published",
 			},
 		},
 		{

@@ -10,15 +10,20 @@
 // or workload composition boundary — nothing observable can change, so
 // the engine advances all jobs in one closed-form macro-step (work
 // consumed = effHz × Δt per the same T(f) = C/f + M model the old
-// per-tick path integrated) and performs every accumulator update
-// (workload consumption, power integration, counter retirement) at the
-// event instant. At each event: completed iterations are published as
-// progress reports, the RAPL controller re-actuates on its period, the
-// policy daemon re-evaluates on its interval, and the monitors flush
-// once per aggregation window. Config.FixedTick selects a reference mode
-// that walks the clock at most one Tick (default 100 µs) per internal
-// step, re-deriving the event horizon each tick — byte-identical output,
-// used as the differential-testing oracle.
+// per-tick path integrated) and integrates power at the event instant.
+// The jobs themselves consume (workload progress, counter retirement)
+// only where that output is needed: at a workload boundary, at a window
+// edge, in Finish, and — at the operating point they ran at — just before
+// the operating point changes. In between, the engine reuses the cached
+// stretch composition, so a control period that leaves the P-state, duty
+// cycle and bandwidth grant alone costs one Observe and one Control. At
+// each event: completed iterations are published as progress reports,
+// the RAPL controller re-actuates on its period, the policy daemon
+// re-evaluates on its interval, and the monitors flush once per
+// aggregation window. Config.FixedTick selects a reference mode that
+// walks the clock at most one Tick (default 100 µs) per internal step,
+// re-deriving the event horizon each tick. It shares the flush rule, so
+// its output is byte-identical; it is the differential-testing oracle.
 //
 // A single engine can host several workloads on disjoint core ranges
 // (the URBAN-style composite setup) and can be advanced incrementally
@@ -225,6 +230,20 @@ type job struct {
 	res      *JobResult
 }
 
+// spanCache is every job's Span folded at one operating point. Span is
+// pure between ConsumeTo calls, so the fold stays exact until a job
+// consumes or the operating point changes; in between, refolding would
+// recompute the same values. Every job has consumed up to each window
+// edge, so a checkpoint never needs the cache.
+type spanCache struct {
+	valid            bool
+	effHz, memFactor float64 // the operating point of the fold
+	engaged          int
+	activity, bwUtil float64
+	next             time.Duration // earliest workload boundary, if hasNext
+	hasNext          bool
+}
+
 // Engine is one assembled simulation.
 type Engine struct {
 	cfg    Config
@@ -253,12 +272,15 @@ type Engine struct {
 	lastFlush  time.Duration
 	energyMark float64
 
-	// obsAnchor is the instant the engine has integrated up to: the start
-	// of the current stretch. Workload consumption and power observation
-	// flush from it to each event instant; it always equals the clock at
-	// event boundaries (in fixed-tick mode the clock walks ahead of it
-	// between events without mutating anything).
+	// obsAnchor is the instant the engine has integrated power up to: the
+	// start of the current stretch. Power observation flushes from it to
+	// each event instant; it always equals the clock at event boundaries
+	// (in fixed-tick mode the clock walks ahead of it between events
+	// without mutating anything).
 	obsAnchor time.Duration
+
+	// span caches the folded workload composition of the current stretch.
+	span spanCache
 
 	// Payload recycling: progress-report buffers flow Reporter.Publish →
 	// bus → job subscription → flushWindow, where — once decoded — the
@@ -628,38 +650,32 @@ func (e *Engine) Advance(d time.Duration) (bool, error) {
 	for !done && e.clock.Now() < limit {
 		now := e.clock.Now()
 
-		// 1. Stretch composition at the current operating point. These are
-		// pure state reads: the macro mode evaluates them once per event,
-		// the fixed-tick oracle once per tick, with identical values.
+		// 1. Stretch composition at the current operating point, refolded
+		// only when the cache is stale. An operating-point change first
+		// brings the jobs up to now at the point they ran at, so every
+		// ConsumeTo covers a stretch of one constant point. Both modes see
+		// the same changes at the same instants: state mutates only at
+		// events.
 		effHz := e.domain.EffectiveMHz() * 1e6
 		memFactor := e.uncore.MemTimeFactor()
-		var engaged int
-		var actSum, bwUtil float64
-		var wlNext time.Duration
-		wlHas := false
-		for _, j := range e.jobs {
-			sp := j.exec.Span(effHz, memFactor)
-			engaged += sp.Engaged
-			actSum += sp.ActivitySum
-			bwUtil += sp.BWUtil
-			if sp.HasBoundary && (!wlHas || sp.Boundary < wlNext) {
-				wlNext, wlHas = sp.Boundary, true
+		sp := &e.span
+		if sp.valid && (effHz != sp.effHz || memFactor != sp.memFactor) {
+			if e.consume(now, sp.effHz, sp.memFactor) {
+				if done = e.Done(); done {
+					break
+				}
 			}
 		}
-		activity := 0.0
-		if engaged > 0 {
-			activity = actSum / float64(engaged)
-		}
-		if bwUtil > 1 {
-			bwUtil = 1
+		if !sp.valid {
+			e.foldSpan(effHz, memFactor)
 		}
 		state := power.NodeState{
-			EngagedCores: engaged,
-			IdleCores:    cores - engaged,
+			EngagedCores: sp.engaged,
+			IdleCores:    cores - sp.engaged,
 			FreqMHz:      e.domain.CurrentMHz(),
 			Duty:         e.domain.Duty(),
-			Activity:     activity,
-			BWUtil:       bwUtil,
+			Activity:     sp.activity,
+			BWUtil:       sp.bwUtil,
 			BWScale:      e.uncore.BWScale(),
 		}
 
@@ -673,8 +689,8 @@ func (e *Engine) Advance(d time.Duration) (bool, error) {
 			e.raplTicker.CatchUp(now)
 		}
 		h := limit
-		if wlHas && wlNext < h {
-			h = wlNext
+		if sp.hasNext && sp.next < h {
+			h = sp.next
 		}
 		if !raplQuiet && e.raplTicker.Next() < h {
 			h = e.raplTicker.Next()
@@ -716,23 +732,21 @@ func (e *Engine) Advance(d time.Duration) (bool, error) {
 			}
 		}
 
-		// 4. Flush the stretch [obsAnchor, te]: workloads consume it in
-		// one analytic step and publish iterations completed exactly at
-		// te, fault-delayed reports come due, and the controller
-		// integrates power and demand over the full stretch.
+		// 4. Flush the stretch [obsAnchor, te]: fault-delayed reports come
+		// due and the controller integrates power and demand over it. The
+		// workloads consume only where their output is needed: at a
+		// workload boundary, where iterations complete, and at a window
+		// edge, where the monitors drain and checkpoints are taken. At any
+		// other event they stay anchored behind, their composition
+		// unchanged.
 		// The clock moves first: anything reading it during the flush (the
 		// transport fault layer timestamps intercepted publishes with it)
 		// must see te, which both modes visit, never the mode-dependent
 		// previously visited instant.
 		e.clock.AdvanceTo(te)
 		completed := false
-		for _, j := range e.jobs {
-			for _, ev := range j.exec.ConsumeTo(te, effHz, memFactor) {
-				completed = true
-				j.reporter.Publish(ev.Phase, ev.Progress, ev.At)
-				j.res.WorkUnits += ev.WorkUnits
-				e.res.WorkUnits += ev.WorkUnits
-			}
+		if (sp.hasNext && te == sp.next) || e.windowTicker.Next() <= te {
+			completed = e.consume(te, effHz, memFactor)
 		}
 		if pubFaults != nil {
 			for _, m := range pubFaults.Due(te) {
@@ -773,6 +787,45 @@ func (e *Engine) Advance(d time.Duration) (bool, error) {
 	return done, nil
 }
 
+// consume advances every job to the instant to at the given operating
+// point, publishes the iterations completed there, and invalidates the
+// span cache. It reports whether any iteration completed.
+func (e *Engine) consume(to time.Duration, effHz, memFactor float64) bool {
+	e.span.valid = false
+	completed := false
+	for _, j := range e.jobs {
+		for _, ev := range j.exec.ConsumeTo(to, effHz, memFactor) {
+			completed = true
+			j.reporter.Publish(ev.Phase, ev.Progress, ev.At)
+			j.res.WorkUnits += ev.WorkUnits
+			e.res.WorkUnits += ev.WorkUnits
+		}
+	}
+	return completed
+}
+
+// foldSpan recomputes the span cache at the given operating point.
+func (e *Engine) foldSpan(effHz, memFactor float64) {
+	sp := spanCache{valid: true, effHz: effHz, memFactor: memFactor}
+	var actSum float64
+	for _, j := range e.jobs {
+		s := j.exec.Span(effHz, memFactor)
+		sp.engaged += s.Engaged
+		actSum += s.ActivitySum
+		sp.bwUtil += s.BWUtil
+		if s.HasBoundary && (!sp.hasNext || s.Boundary < sp.next) {
+			sp.next, sp.hasNext = s.Boundary, true
+		}
+	}
+	if sp.engaged > 0 {
+		sp.activity = actSum / float64(sp.engaged)
+	}
+	if sp.bwUtil > 1 {
+		sp.bwUtil = 1
+	}
+	e.span = sp
+}
+
 // reserve pre-sizes every per-window trace and sample slice for nWin
 // aggregation windows.
 func (e *Engine) reserve(nWin int) {
@@ -809,6 +862,11 @@ func (e *Engine) Finish() (*Result, error) {
 	// meaningful rate (a few milliseconds holding one report would show
 	// up as an enormous outlier).
 	end := e.clock.Now()
+	// Bring the jobs up to the end at the operating point they ran at, so
+	// rank loads and counters cover the whole run.
+	if e.span.valid {
+		e.consume(end, e.span.effHz, e.span.memFactor)
+	}
 	if end-e.lastFlush >= e.cfg.Window/2 {
 		e.flushWindow(end)
 	}

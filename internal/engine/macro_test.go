@@ -29,8 +29,8 @@ type macroScenario struct {
 // macroScenarios covers every control path the event horizon folds over:
 // quiescent-uncapped, an active RAPL capping loop, manual DVFS and DDCM
 // (quiescent-manual), transport faults with delayed-report due times, a
-// deadman TTL expiry, an externally scheduled mid-run actuation, and a
-// multi-workload node.
+// deadman TTL expiry, an externally scheduled mid-run actuation (uncapped
+// and capped), and a multi-workload node.
 func macroScenarios() []macroScenario {
 	mk := func(fn func(e *Engine) error, w func() *workload.Workload) func(Config) (*Engine, error) {
 		return func(cfg Config) (*Engine, error) {
@@ -114,6 +114,20 @@ func macroScenarios() []macroScenario {
 				})
 				return nil
 			}, func() *workload.Workload { return apps.LAMMPS(apps.DefaultRanks, 200) }),
+			dur: 7 * time.Second,
+		},
+		{
+			name: "capped-scheduled-actuation",
+			setup: mk(func(e *Engine) error {
+				// Under a steady cap most control periods leave the
+				// operating point alone and defer the workload flush; the
+				// off-grid ceiling then changes it between two control
+				// boundaries.
+				e.Scheduler().At(2500*time.Millisecond+137*time.Microsecond, func(time.Duration) {
+					e.SetFreqCeiling(1200)
+				})
+				return e.SetScheme(policy.Constant{Watts: 100})
+			}, func() *workload.Workload { return apps.AMG(apps.DefaultRanks, 20) }),
 			dur: 7 * time.Second,
 		},
 		{

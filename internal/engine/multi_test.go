@@ -44,6 +44,44 @@ func TestAdvanceFinishEquivalentToRun(t *testing.T) {
 	}
 }
 
+// TestAdvanceChunksMatchRun pins that an Advance limit never forces a
+// workload flush: a capped run advanced in chunks that end between window
+// edges must equal the one-shot Run bit for bit. Cluster epochs and
+// traced chunked runs rely on it.
+func TestAdvanceChunksMatchRun(t *testing.T) {
+	mk := func() *Engine {
+		e, err := New(DefaultConfig(), apps.AMG(apps.DefaultRanks, 20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SetScheme(policy.Constant{Watts: 100}); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	const dur = 6 * time.Second
+	res, err := mk().Run(dur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.Signature()
+	for _, chunk := range []time.Duration{7 * time.Millisecond, 250 * time.Millisecond} {
+		e := mk()
+		for done := false; !done && e.Clock().Now() < dur; {
+			if done, err = e.Advance(min(chunk, dur-e.Clock().Now())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := e.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Signature(); got != want {
+			t.Errorf("%v chunks diverge from Run:\n%s", chunk, diffHead(got, want))
+		}
+	}
+}
+
 func TestAdvanceStopsAtBudget(t *testing.T) {
 	e, err := New(DefaultConfig(), apps.LAMMPS(apps.DefaultRanks, 100000))
 	if err != nil {

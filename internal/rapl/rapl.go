@@ -90,6 +90,12 @@ type Controller struct {
 	trimW  float64
 	manual bool
 
+	// published is the PERF_STATUS ratio last poked into every core, valid
+	// once havePublished is set; publishStatus skips the per-core pokes
+	// while the ratio is unchanged.
+	published     uint64
+	havePublished bool
+
 	// Quiescence tracking: uncappedIdle records that the last Control
 	// found no enabled PL1 limit (from a successful register read) and
 	// parked the domain at its maximum operating point; idleSeq is the
@@ -381,12 +387,18 @@ func (c *Controller) boundedness(act, maxMHz float64) float64 {
 	return stats.Clamp(ct/(ct+(1-actFull)), 0, 1)
 }
 
-// publishStatus reflects the operating point into read-only MSRs.
+// publishStatus reflects the operating point into read-only MSRs. Only
+// the controller pokes PERF_STATUS, so a ratio equal to the last one
+// published is already in every core's register.
 func (c *Controller) publishStatus() {
 	ratio := msr.RatioFromMHz(c.domain.CurrentMHz())
+	if c.havePublished && ratio == c.published {
+		return
+	}
 	for cpuIdx := 0; cpuIdx < c.dev.Cores(); cpuIdx++ {
 		c.dev.PokeCore(cpuIdx, msr.PerfStatus, ratio)
 	}
+	c.published, c.havePublished = ratio, true
 }
 
 // WriteLimit is the policy-side helper: it encodes and writes the package

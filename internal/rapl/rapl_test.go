@@ -218,6 +218,65 @@ func TestPerfStatusReflectsFrequency(t *testing.T) {
 	}
 }
 
+// checkPerfStatus fails unless every core's PERF_STATUS reads wantMHz.
+func (r *rig) checkPerfStatus(t *testing.T, wantMHz float64) {
+	t.Helper()
+	for c := 0; c < r.dev.Cores(); c++ {
+		raw, err := r.dev.ReadCore(c, msr.PerfStatus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := msr.MHzFromRatio(raw); got != wantMHz {
+			t.Fatalf("core %d PERF_STATUS = %v MHz, want %v", c, got, wantMHz)
+		}
+	}
+}
+
+// TestPerfStatusPublishOnChange covers publishStatus's cache: the pokes
+// it skips while the P-state holds must never leave a core behind, and a
+// restored controller must republish.
+func TestPerfStatusPublishOnChange(t *testing.T) {
+	// A change after a steady stretch reaches every core.
+	r := newRig(t)
+	r.runSteady(100, 1, 0.05) // uncapped: parked at 3300 MHz
+	if err := WriteLimit(r.dev, 90, 10*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000 && r.domain.CurrentMHz() == 3300; i++ {
+		r.runSteady(1, 1, 0.05)
+	}
+	if r.domain.CurrentMHz() == 3300 {
+		t.Fatal("a 90 W cap never moved the P-state")
+	}
+	r.checkPerfStatus(t, r.domain.CurrentMHz())
+
+	// The donor's registers lag its domain: a manual frequency change
+	// its next Control has yet to publish. The controller restored from
+	// it last published the donor's new frequency itself, so only a
+	// cleared cache makes its first Control poke the cores.
+	donor := newRig(t)
+	donor.ctl.SetManual(true)
+	donor.domain.SetTargetMHz(2000)
+	donor.ctl.Control()
+	donor.domain.SetTargetMHz(1500)
+
+	restored := newRig(t)
+	restored.ctl.SetManual(true)
+	restored.domain.SetTargetMHz(1500)
+	restored.ctl.Control()
+	restored.dev.Restore(donor.dev.Snapshot())
+	restored.domain.Restore(donor.domain.Snapshot())
+	restored.uncore.Restore(donor.uncore.Snapshot())
+	restored.meter.Restore(donor.meter.Snapshot())
+	restored.ctl.Restore(donor.ctl.Snapshot())
+	restored.checkPerfStatus(t, 2000)
+
+	donor.ctl.Control()
+	restored.ctl.Control()
+	donor.checkPerfStatus(t, 1500)
+	restored.checkPerfStatus(t, 1500)
+}
+
 func TestEnergyCounterAdvances(t *testing.T) {
 	r := newRig(t)
 	_, raw0, err := ReadEnergyJ(r.dev, 0)

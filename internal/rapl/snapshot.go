@@ -80,6 +80,10 @@ func (c *Controller) Restore(st ControllerState) {
 	c.fastSeeded = st.FastSeeded
 	c.trimW = st.TrimW
 	c.manual = st.Manual
+	// The publish cache describes the device this controller last poked,
+	// not the one being restored alongside it: forget it, so the first
+	// Control republishes.
+	c.havePublished = false
 	c.uncappedIdle = st.UncappedIdle
 	c.idleSeq = st.IdleSeq
 	c.energy.Restore(st.Energy)

@@ -454,7 +454,8 @@ func (e *Exec) advance(now time.Duration) {
 // (see At) forward, valid while the operating point stays fixed. It is
 // the workload's NextEventAt hook for the macro-stepping engine: the
 // aggregates are constant until Boundary, so the engine may integrate
-// power and counters over the whole stretch in one closed-form step.
+// power over any part of the stretch from one Span, and defer ConsumeTo
+// to the stretch's end.
 type Span struct {
 	// Engaged / Sleeping partition the ranks exactly as StepOutput does
 	// for any tick inside the stretch.
@@ -491,8 +492,8 @@ func (e *Exec) boundaryIn(sec float64) time.Duration {
 
 // Span computes the current stretch composition at the given operating
 // point. It is pure: repeated calls between ConsumeTo calls return
-// identical values, which is what makes the fixed-tick engine mode an
-// exact oracle for the macro-stepping mode.
+// identical values, so a caller may cache the result until it next
+// consumes or changes the operating point.
 func (e *Exec) Span(effHz, memFactor float64) Span {
 	var sp Span
 	if e.done {
@@ -544,11 +545,15 @@ func (e *Exec) Span(effHz, memFactor float64) Span {
 // ConsumeTo advances the executor from its anchor to the absolute instant
 // to in a single analytic step, returning iterations completed exactly at
 // to. The caller must not advance past the Span boundary computed at the
-// same operating point — inside that stretch one Step over the whole
-// interval is arithmetically identical to any subdivision of it, because
-// each rank stays within one part (sleep, compute+memory, or spin) and
-// the consumed amounts are linear in elapsed time. Completions alias the
-// executor's internal buffer exactly as StepOutput.Completions does.
+// same operating point — inside that stretch each rank stays within one
+// part (sleep, compute+memory, or spin) and the consumed amounts are
+// linear in elapsed time, so one Step over the whole interval equals any
+// subdivision of it up to float rounding. Results are reproducible only
+// if callers consume at the same instants: the engine does so at
+// workload boundaries, window edges, operating-point changes and the end
+// of a run, never at instants that depend on how it steps. Completions
+// alias the executor's internal buffer exactly as StepOutput.Completions
+// does.
 func (e *Exec) ConsumeTo(to time.Duration, effHz, memFactor float64) []IterationEvent {
 	if to < e.at {
 		panic(fmt.Sprintf("workload: ConsumeTo moved backwards: at %v, asked for %v", e.at, to))
