@@ -46,8 +46,8 @@ func TestAdvanceFinishEquivalentToRun(t *testing.T) {
 
 // TestAdvanceChunksMatchRun pins that an Advance limit never forces a
 // workload flush: a capped run advanced in chunks that end between window
-// edges must equal the one-shot Run bit for bit. Cluster epochs and
-// traced chunked runs rely on it.
+// edges must equal the one-shot Run bit for bit. Callers that advance in
+// chunks, such as cluster epochs, rely on it.
 func TestAdvanceChunksMatchRun(t *testing.T) {
 	mk := func() *Engine {
 		e, err := New(DefaultConfig(), apps.AMG(apps.DefaultRanks, 20))

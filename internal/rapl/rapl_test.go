@@ -251,9 +251,10 @@ func TestPerfStatusPublishOnChange(t *testing.T) {
 	r.checkPerfStatus(t, r.domain.CurrentMHz())
 
 	// The donor's registers lag its domain: a manual frequency change
-	// its next Control has yet to publish. The controller restored from
-	// it last published the donor's new frequency itself, so only a
-	// cleared cache makes its first Control poke the cores.
+	// its next Control has yet to publish. Before the restore, the other
+	// controller had itself published that new frequency, so only a
+	// cleared cache makes its first Control after the restore poke the
+	// cores.
 	donor := newRig(t)
 	donor.ctl.SetManual(true)
 	donor.domain.SetTargetMHz(2000)
