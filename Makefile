@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all verify build vet test test-race race soak soak-short soak-backends soak-restart bench bench-smoke bench-diff profile experiments figures clean
+.PHONY: all verify build vet test test-race race soak soak-short soak-backends soak-restart bench bench-smoke bench-diff bench-ab profile experiments figures clean
 
 # `make` with no target runs the pre-merge gate.
 .DEFAULT_GOAL := verify
@@ -99,6 +99,19 @@ else ifeq ($(BENCH_PREV),)
 else
 	$(GO) run ./cmd/benchreport -diff -prefer-embedded $(BENCH_PREV) $(BENCH_NEWEST)
 endif
+
+# Paired A/B run of the repository benchmark (bench/, BENCHMARK.json):
+# the working tree against BASE on one workload, PAIRS alternating pairs
+# at the declared run length, seeds 1..PAIRS. Prints each side's median
+# and quartiles per end-to-end metric, the change's win count and
+# whether the digests match; fails on a digest mismatch or a failed op.
+# About 40 s a pair, so it stays out of verify.
+#   make bench-ab BASE=HEAD~1 WORKLOAD=capped-node PAIRS=10
+WORKLOAD ?= capped-node
+PAIRS ?= 10
+bench-ab:
+	@test -n "$(BASE)" || { echo "bench-ab: set BASE=<rev>"; exit 2; }
+	bash scripts/bench-ab.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 # CPU + heap profiles of the full experiment suite, for pprof.
 # `go tool pprof out/cpu.pprof` / `go tool pprof out/mem.pprof`.

@@ -7,7 +7,6 @@ package counters
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -49,21 +48,20 @@ type ReadHook func(core int, e Event, v uint64) uint64
 
 // Bank holds the counters for one node: numEvents counters per core.
 // The simulation engine increments them; readers snapshot them through
-// EventSets. Bank is safe for concurrent use.
+// EventSets.
 //
-// Counters live in a flat per-core/per-event array of atomics rather
-// than behind a mutex: Add sits on the engine's per-tick hot path (up to
-// one call per rank per event per tick) and a lock/unlock pair per
-// increment dominated the whole-engine profile. The trade is snapshot
-// consistency: Total and Snapshot read each cell atomically but do not
-// freeze the bank as a whole, so a reader racing a writer may observe a
-// sum that interleaves two in-flight ticks. Within the simulation the
-// engine is single-goroutine per bank, and cross-tick interleaving is
-// exactly what a real PAPI read of a running core observes anyway.
+// A bank has one owning goroutine, the engine that built it, exactly as
+// that engine owns the workload executors that write it. Counters are
+// plain cells in a flat per-core/per-event array: Add sits on the
+// engine's hot path (up to one call per rank per event per integration
+// step), and no lock or atomic guards it. Writers on disjoint cores touch
+// disjoint cells, so they need no lock either; every other concurrent
+// use (a read racing a write, two writers on one core, SetReadHook
+// racing anything) must be ordered by the caller.
 type Bank struct {
 	cores    int
-	vals     []atomic.Uint64 // flat [core*numEvents + event]
-	readHook atomic.Pointer[ReadHook]
+	vals     []uint64 // flat [core*numEvents + event]
+	readHook ReadHook
 }
 
 // NewBank returns a zeroed counter bank for the given core count.
@@ -71,7 +69,7 @@ func NewBank(cores int) *Bank {
 	if cores <= 0 {
 		panic("counters: bank needs at least one core")
 	}
-	return &Bank{cores: cores, vals: make([]atomic.Uint64, cores*int(numEvents))}
+	return &Bank{cores: cores, vals: make([]uint64, cores*int(numEvents))}
 }
 
 // Cores returns the number of cores the bank covers.
@@ -80,21 +78,14 @@ func (b *Bank) Cores() int { return b.cores }
 // SetReadHook installs (or, with nil, removes) the read-side fault hook.
 // Writers (Add) are never perturbed: the simulation's ground truth stays
 // intact; only observations degrade.
-func (b *Bank) SetReadHook(h ReadHook) {
-	if h == nil {
-		b.readHook.Store(nil)
-		return
-	}
-	b.readHook.Store(&h)
-}
+func (b *Bank) SetReadHook(h ReadHook) { b.readHook = h }
 
 // observe applies the read hook, if any.
 func (b *Bank) observe(core int, e Event, v uint64) uint64 {
-	h := b.readHook.Load()
-	if h == nil {
+	if b.readHook == nil {
 		return v
 	}
-	return (*h)(core, e, v)
+	return b.readHook(core, e, v)
 }
 
 // cell returns the flat index for a core/event pair, bounds-checked by
@@ -108,19 +99,19 @@ func (b *Bank) cell(core int, e Event) int {
 
 // Add increments an event counter on a core.
 func (b *Bank) Add(core int, e Event, delta uint64) {
-	b.vals[b.cell(core, e)].Add(delta)
+	b.vals[b.cell(core, e)] += delta
 }
 
 // Read returns the current value of an event counter on a core.
 func (b *Bank) Read(core int, e Event) uint64 {
-	return b.observe(core, e, b.vals[b.cell(core, e)].Load())
+	return b.observe(core, e, b.vals[b.cell(core, e)])
 }
 
 // Total returns the event count summed over all cores.
 func (b *Bank) Total(e Event) uint64 {
 	var sum uint64
 	for c := 0; c < b.cores; c++ {
-		sum += b.observe(c, e, b.vals[c*int(numEvents)+int(e)].Load())
+		sum += b.observe(c, e, b.vals[c*int(numEvents)+int(e)])
 	}
 	return sum
 }
@@ -129,11 +120,7 @@ func (b *Bank) Total(e Event) uint64 {
 func (b *Bank) Snapshot() [][]uint64 {
 	out := make([][]uint64, b.cores)
 	for c := range out {
-		row := make([]uint64, numEvents)
-		for e := 0; e < int(numEvents); e++ {
-			row[e] = b.vals[c*int(numEvents)+e].Load()
-		}
-		out[c] = row
+		out[c] = append([]uint64(nil), b.vals[c*int(numEvents):(c+1)*int(numEvents)]...)
 	}
 	return out
 }

@@ -1,5 +1,5 @@
 // Checkpoint accessors. Bank state is read and written through the
-// atomics directly, never through observe(): a snapshot must capture the
+// cells directly, never through observe(): a snapshot must capture the
 // simulation's ground truth without consuming fault-injection randomness,
 // and a restore must not look like a read to the fault layer.
 
@@ -15,11 +15,7 @@ type BankState struct {
 
 // SnapshotState captures every counter cell raw (no read hook applied).
 func (b *Bank) SnapshotState() BankState {
-	out := make([]uint64, len(b.vals))
-	for i := range b.vals {
-		out[i] = b.vals[i].Load()
-	}
-	return BankState{Vals: out}
+	return BankState{Vals: append([]uint64(nil), b.vals...)}
 }
 
 // RestoreState pours captured cells back. The state must come from a
@@ -28,9 +24,7 @@ func (b *Bank) RestoreState(s BankState) {
 	if len(s.Vals) != len(b.vals) {
 		panic("counters: bank state size mismatch")
 	}
-	for i, v := range s.Vals {
-		b.vals[i].Store(v)
-	}
+	copy(b.vals, s.Vals)
 }
 
 // EventSetState is the mutable state of an EventSet: the values latched

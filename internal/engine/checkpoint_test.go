@@ -543,8 +543,12 @@ func TestEngineStateInventory(t *testing.T) {
 				"lastBrk",
 			},
 			exempt: map[string]string{
-				"model":  "construction configuration",
-				"tauSec": "construction configuration",
+				"model":    "construction configuration",
+				"tauSec":   "construction configuration",
+				"ffKey":    "memo keyed by its exact input",
+				"ff":       "memo keyed by its exact input; see ffKey",
+				"decayKey": "memo keyed by its exact input",
+				"decay":    "memo keyed by its exact input; see decayKey",
 			},
 		},
 		{
@@ -565,6 +569,10 @@ func TestEngineStateInventory(t *testing.T) {
 				"units":         "construction configuration (decoded once from the unit register)",
 				"published":     "publish cache; Restore clears it, so the first Control republishes the value the device snapshot already holds",
 				"havePublished": "publish cache; see published",
+				"decayDt":       "memo keyed by its exact input",
+				"fastDecay":     "memo keyed by its exact input; see decayDt",
+				"demandDecay":   "memo keyed by its exact input; see decayDt",
+				"minFreqFactor": "derived from construction configuration (model and domain MinMHz)",
 			},
 		},
 		{

@@ -272,6 +272,21 @@ func (d *Device) PokeCore(cpu int, addr uint32, v uint64) {
 	}
 }
 
+// PokeAllCores is PokeCore on every core under one lock, the way the
+// hardware side publishes a package-wide value into a per-core register
+// such as PERF_STATUS. A package-scope register is simply poked once.
+func (d *Device) PokeAllCores(addr uint32, v uint64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !perCore(addr) {
+		d.pkg[addr] = v
+		return
+	}
+	for _, regs := range d.core {
+		regs[addr] = v
+	}
+}
+
 // Counts returns the number of whitelisted writes and reads performed,
 // for instrumentation-overhead accounting.
 func (d *Device) Counts() (writes, reads uint64) {

@@ -114,6 +114,39 @@ func TestDevicePokeBypassesWhitelist(t *testing.T) {
 	}
 }
 
+// TestPokeAllCores: one call reaches every core's copy of a per-core
+// register, touches no other register, and — being hardware-side, like
+// any poke — advances neither the write sequence nor the write count.
+func TestPokeAllCores(t *testing.T) {
+	d := NewDevice(4, nil)
+	if err := d.WriteCore(2, PerfCtl, RatioFromMHz(1200)); err != nil {
+		t.Fatal(err)
+	}
+	seq := d.WriteSeq(PerfStatus)
+	writes, _ := d.Counts()
+	d.PokeAllCores(PerfStatus, RatioFromMHz(2100))
+	for c := 0; c < d.Cores(); c++ {
+		v, err := d.ReadCore(c, PerfStatus)
+		if err != nil || MHzFromRatio(v) != 2100 {
+			t.Fatalf("core %d PerfStatus = %v, %v; want 2100 MHz", c, MHzFromRatio(v), err)
+		}
+	}
+	if v, err := d.ReadCore(2, PerfCtl); err != nil || MHzFromRatio(v) != 1200 {
+		t.Fatalf("PerfCtl = %v, %v; the poke leaked into another register", MHzFromRatio(v), err)
+	}
+	if d.WriteSeq(PerfStatus) != seq {
+		t.Fatal("PokeAllCores advanced the write sequence")
+	}
+	if w, _ := d.Counts(); w != writes {
+		t.Fatalf("PokeAllCores counted as %d policy writes", w-writes)
+	}
+	// A package-scope register has one copy, poked as Poke would.
+	d.PokeAllCores(PkgEnergyStatus, 77)
+	if v, err := d.Read(PkgEnergyStatus); err != nil || v != 77 {
+		t.Fatalf("PkgEnergyStatus = %v, %v; want 77", v, err)
+	}
+}
+
 func TestDeviceCounts(t *testing.T) {
 	d := NewDevice(1, nil)
 	_, _ = d.Read(RaplPowerUnit)

@@ -90,6 +90,12 @@ func (m Model) ActivityFactor(a float64) float64 {
 	return m.ActivityFloor + (1-m.ActivityFloor)*a
 }
 
+// FreqFactor returns the dynamic-power frequency scaling (f/RefMHz)^α_HW
+// at frequency fMHz.
+func (m Model) FreqFactor(fMHz float64) float64 {
+	return math.Pow(fMHz/m.RefMHz, m.AlphaHW)
+}
+
 // CorePowerPerCore returns one engaged core's power at frequency fMHz with
 // duty cycle duty and compute activity a. Idle (disengaged) cores draw
 // only static power; pass engaged=false for those.
@@ -97,15 +103,27 @@ func (m Model) CorePowerPerCore(fMHz, duty, a float64, engaged bool) float64 {
 	if !engaged {
 		return m.CoreStaticW
 	}
-	rel := fMHz / m.RefMHz
-	return m.CoreStaticW + m.CoreDynMaxW*duty*m.ActivityFactor(a)*math.Pow(rel, m.AlphaHW)
+	return m.engagedCorePower(m.FreqFactor(fMHz), duty, a)
+}
+
+// engagedCorePower is one engaged core's power at frequency factor ff
+// (see FreqFactor).
+func (m Model) engagedCorePower(ff, duty, a float64) float64 {
+	return m.CoreStaticW + m.CoreDynMaxW*duty*m.ActivityFactor(a)*ff
 }
 
 // CorePower returns total core-component power for n engaged cores (all at
 // the same package frequency/duty, with mean activity a) plus idle static
 // draw for the remaining idleCores.
 func (m Model) CorePower(nEngaged int, idleCores int, fMHz, duty, a float64) float64 {
-	p := float64(nEngaged) * m.CorePowerPerCore(fMHz, duty, a, true)
+	return m.CorePowerAt(nEngaged, idleCores, m.FreqFactor(fMHz), duty, a)
+}
+
+// CorePowerAt is CorePower with the frequency given as its factor ff =
+// FreqFactor(fMHz), for callers that keep the factor of a repeated
+// frequency instead of re-evaluating it.
+func (m Model) CorePowerAt(nEngaged int, idleCores int, ff, duty, a float64) float64 {
+	p := float64(nEngaged) * m.engagedCorePower(ff, duty, a)
 	p += float64(idleCores) * m.CoreStaticW
 	return p
 }
@@ -185,8 +203,13 @@ func (b Breakdown) PkgW() float64 { return b.CoreW + b.UncoreW }
 
 // Power evaluates the model at a node state.
 func (m Model) Power(s NodeState) Breakdown {
+	return m.powerAt(s, m.FreqFactor(s.FreqMHz))
+}
+
+// powerAt is Power with the frequency factor of s.FreqMHz given.
+func (m Model) powerAt(s NodeState, ff float64) Breakdown {
 	return Breakdown{
-		CoreW:   m.CorePower(s.EngagedCores, s.IdleCores, s.FreqMHz, s.Duty, s.Activity),
+		CoreW:   m.CorePowerAt(s.EngagedCores, s.IdleCores, ff, s.Duty, s.Activity),
 		UncoreW: m.UncorePower(s.BWUtil, s.BWScale),
 		DRAMW:   m.DRAMPower(s.BWUtil, s.BWScale),
 	}
@@ -205,6 +228,16 @@ type Meter struct {
 	uncoreJ float64
 	dramJ   float64
 	lastBrk Breakdown
+
+	// Memos of the two transcendentals Observe needs, each kept for the
+	// last input and keyed by that input's exact bits, so a hit returns
+	// the float a fresh evaluation would. An operating point holds its
+	// P-state and the engine its step length for many calls in a row.
+	// They are pure functions of model, tauSec and the key, not state.
+	ffKey    uint64  // math.Float64bits of the last FreqMHz
+	ff       float64 // model.FreqFactor(FreqMHz)
+	decayKey uint64  // math.Float64bits of the last dtSec
+	decay    float64 // math.Exp(-dtSec / tauSec)
 }
 
 // NewMeter returns a meter using the model with the given averaging time
@@ -213,7 +246,8 @@ func NewMeter(model Model, tauSec float64) *Meter {
 	if tauSec <= 0 {
 		panic("power: meter needs positive time constant")
 	}
-	return &Meter{model: model, tauSec: tauSec}
+	// Both memos start keyed by +0: FreqFactor(0), and exp(-0/τ) = 1.
+	return &Meter{model: model, tauSec: tauSec, ff: model.FreqFactor(0), decay: 1}
 }
 
 // Observe integrates dtSec of operation at state s.
@@ -221,7 +255,10 @@ func (mt *Meter) Observe(s NodeState, dtSec float64) Breakdown {
 	if dtSec < 0 {
 		panic("power: negative observation interval")
 	}
-	b := mt.model.Power(s)
+	if k := math.Float64bits(s.FreqMHz); k != mt.ffKey {
+		mt.ffKey, mt.ff = k, mt.model.FreqFactor(s.FreqMHz)
+	}
+	b := mt.model.powerAt(s, mt.ff)
 	mt.lastBrk = b
 	mt.energyJ += b.PkgW() * dtSec
 	mt.coreJ += b.CoreW * dtSec
@@ -232,8 +269,10 @@ func (mt *Meter) Observe(s NodeState, dtSec float64) Breakdown {
 		mt.havePkg = true
 	} else {
 		// EWMA with per-step decay exp(-dt/tau).
-		decay := math.Exp(-dtSec / mt.tauSec)
-		mt.avgPkgW = mt.avgPkgW*decay + b.PkgW()*(1-decay)
+		if k := math.Float64bits(dtSec); k != mt.decayKey {
+			mt.decayKey, mt.decay = k, math.Exp(-dtSec/mt.tauSec)
+		}
+		mt.avgPkgW = mt.avgPkgW*mt.decay + b.PkgW()*(1-mt.decay)
 	}
 	return b
 }

@@ -225,3 +225,68 @@ func TestMeterPanicsOnBadInput(t *testing.T) {
 		NewMeter(DefaultModel(), 1).Observe(NodeState{}, -1)
 	}()
 }
+
+// TestMeterMemoBitIdentical: Observe keeps the frequency factor of the
+// last FreqMHz and the decay of the last dt. Every reading must equal a
+// fresh evaluation bit for bit through a repeated P-state, a P-state
+// change, a dt change and a repeated dt, and a meter restored from a
+// snapshot (whose memos start elsewhere) must continue identically.
+func TestMeterMemoBitIdentical(t *testing.T) {
+	m := DefaultModel()
+	const tau = 0.01
+	at := func(f float64) NodeState {
+		return NodeState{EngagedCores: 20, IdleCores: 4, FreqMHz: f, Duty: 0.875,
+			Activity: 0.63, BWUtil: 0.4, BWScale: 0.9}
+	}
+	script := []struct{ f, dt float64 }{
+		{2100, 0.001},
+		{2100, 0.001}, // repeated P-state and dt
+		{1800, 0.001}, // P-state change
+		{1800, 0.00025},
+		{1800, 0.00025}, // dt change, then repeated
+		{2300, 0.001},
+		{2100, 0.00025},
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	sameBrk := func(a, b Breakdown) bool {
+		return same(a.CoreW, b.CoreW) && same(a.UncoreW, b.UncoreW) && same(a.DRAMW, b.DRAMW)
+	}
+
+	mt := NewMeter(m, tau)
+	var avg float64
+	for i, step := range script {
+		s := at(step.f)
+		want := m.Power(s)
+		// The core formula written out, so the memo path is checked
+		// against the model itself, not against shared code.
+		perCore := m.CoreStaticW + m.CoreDynMaxW*s.Duty*m.ActivityFactor(s.Activity)*
+			math.Pow(s.FreqMHz/m.RefMHz, m.AlphaHW)
+		coreW := float64(s.EngagedCores)*perCore + float64(s.IdleCores)*m.CoreStaticW
+		if !same(want.CoreW, coreW) {
+			t.Fatalf("step %d: Power CoreW = %v, formula %v", i, want.CoreW, coreW)
+		}
+		if i == 0 {
+			avg = want.PkgW()
+		} else {
+			decay := math.Exp(-step.dt / tau)
+			avg = avg*decay + want.PkgW()*(1-decay)
+		}
+		if got := mt.Observe(s, step.dt); !sameBrk(got, want) {
+			t.Fatalf("step %d: Observe = %+v, fresh Power = %+v", i, got, want)
+		}
+		if !same(mt.AvgPkgW(), avg) {
+			t.Fatalf("step %d: AvgPkgW = %v, fresh EWMA = %v", i, mt.AvgPkgW(), avg)
+		}
+	}
+
+	restored := NewMeter(m, tau)
+	restored.Restore(mt.Snapshot())
+	for i, step := range script {
+		a, b := mt.Observe(at(step.f), step.dt), restored.Observe(at(step.f), step.dt)
+		if !sameBrk(a, b) || !same(mt.AvgPkgW(), restored.AvgPkgW()) ||
+			!same(mt.EnergyJ(), restored.EnergyJ()) {
+			t.Fatalf("step %d after restore: %+v avg %v E %v, restored %+v avg %v E %v",
+				i, a, mt.AvgPkgW(), mt.EnergyJ(), b, restored.AvgPkgW(), restored.EnergyJ())
+		}
+	}
+}

@@ -96,6 +96,19 @@ type Controller struct {
 	published     uint64
 	havePublished bool
 
+	// decayDt is the Observe interval the EWMA decays below were last
+	// evaluated at, fastDecay = exp(-dt/fastTau) and demandDecay =
+	// exp(-dt/DemandTau): a memo keyed by its exact input, since the
+	// engine observes in runs of equal steps. It starts at dt = 0, where
+	// both decays are exp(-0) = 1.
+	decayDt     time.Duration
+	fastDecay   float64
+	demandDecay float64
+	// minFreqFactor is model.FreqFactor(MinMHz), the core floor's
+	// frequency scaling, fixed by the model and the domain's P-state
+	// range.
+	minFreqFactor float64
+
 	// Quiescence tracking: uncappedIdle records that the last Control
 	// found no enabled PL1 limit (from a successful register read) and
 	// parked the domain at its maximum operating point; idleSeq is the
@@ -133,15 +146,18 @@ func New(dev *msr.Device, domain *cpu.Domain, uncore *cpu.Uncore, model power.Mo
 	}
 	u := msr.DecodeUnits(raw)
 	return &Controller{
-		dev:        dev,
-		domain:     domain,
-		uncore:     uncore,
-		model:      model,
-		meter:      meter,
-		opts:       opts,
-		units:      u,
-		energy:     msr.NewEnergyCounter(u),
-		dramEnergy: msr.NewEnergyCounter(u),
+		dev:           dev,
+		domain:        domain,
+		uncore:        uncore,
+		model:         model,
+		meter:         meter,
+		opts:          opts,
+		units:         u,
+		energy:        msr.NewEnergyCounter(u),
+		dramEnergy:    msr.NewEnergyCounter(u),
+		fastDecay:     1,
+		demandDecay:   1,
+		minFreqFactor: model.FreqFactor(domain.Config().MinMHz),
 	}, nil
 }
 
@@ -174,13 +190,17 @@ func (c *Controller) Observe(s power.NodeState, dt time.Duration) power.Breakdow
 	c.dev.Poke(msr.PkgEnergyStatus, c.energy.Raw())
 	c.dramEnergy.AddJoules(b.DRAMW * dt.Seconds())
 	c.dev.Poke(msr.DramEnergyStatus, c.dramEnergy.Raw())
+	if dt != c.decayDt {
+		c.decayDt = dt
+		c.fastDecay = math.Exp(-dt.Seconds() / fastTau.Seconds())
+		c.demandDecay = math.Exp(-dt.Seconds() / c.opts.DemandTau.Seconds())
+	}
 
 	if !c.fastSeeded {
 		c.fastAvgW = b.PkgW()
 		c.fastSeeded = true
 	} else {
-		decay := math.Exp(-dt.Seconds() / fastTau.Seconds())
-		c.fastAvgW = c.fastAvgW*decay + b.PkgW()*(1-decay)
+		c.fastAvgW = c.fastAvgW*c.fastDecay + b.PkgW()*(1-c.fastDecay)
 	}
 
 	if !c.seeded {
@@ -191,7 +211,7 @@ func (c *Controller) Observe(s power.NodeState, dt time.Duration) power.Breakdow
 		c.seeded = true
 		return b
 	}
-	decay := math.Exp(-dt.Seconds() / c.opts.DemandTau.Seconds())
+	decay := c.demandDecay
 	blend := func(old, new float64) float64 { return old*decay + new*(1-decay) }
 	c.engaged = blend(c.engaged, float64(s.EngagedCores))
 	c.idle = blend(c.idle, float64(s.IdleCores))
@@ -299,7 +319,7 @@ func (c *Controller) enforce(capW float64) {
 
 	// Step 2: if the core floor (minimum P-state, full duty) still does
 	// not fit, squeeze uncore bandwidth further to make room.
-	coreFloorW := c.model.CorePower(nEng, nIdle, cfg.MinMHz, 1, act)
+	coreFloorW := c.model.CorePowerAt(nEng, nIdle, c.minFreqFactor, 1, act)
 	if coreBudget < coreFloorW && nEng > 0 {
 		uncoreDynBudget := capW - coreFloorW - c.model.UncoreStaticW
 		switch {
@@ -331,8 +351,7 @@ func (c *Controller) enforce(capW float64) {
 		c.domain.SetDuty(1)
 	} else {
 		static := float64(nEng+nIdle) * c.model.CoreStaticW
-		dynAtMin := float64(nEng) * c.model.CoreDynMaxW * c.model.ActivityFactor(act) *
-			math.Pow(cfg.MinMHz/c.model.RefMHz, c.model.AlphaHW)
+		dynAtMin := float64(nEng) * c.model.CoreDynMaxW * c.model.ActivityFactor(act) * c.minFreqFactor
 		duty := 1.0
 		if dynAtMin > 0 {
 			duty = (coreBudget - static) / dynAtMin
@@ -395,9 +414,7 @@ func (c *Controller) publishStatus() {
 	if c.havePublished && ratio == c.published {
 		return
 	}
-	for cpuIdx := 0; cpuIdx < c.dev.Cores(); cpuIdx++ {
-		c.dev.PokeCore(cpuIdx, msr.PerfStatus, ratio)
-	}
+	c.dev.PokeAllCores(msr.PerfStatus, ratio)
 	c.published, c.havePublished = ratio, true
 }
 

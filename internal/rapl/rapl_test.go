@@ -232,6 +232,47 @@ func (r *rig) checkPerfStatus(t *testing.T, wantMHz float64) {
 	}
 }
 
+// TestObserveDecayMemoBitIdentical: Observe keeps both EWMA decays for
+// the last dt. Through a repeated dt, a dt change and a repeat of the new
+// dt, the burst average and the demand averages must equal a fresh
+// evaluation bit for bit.
+func TestObserveDecayMemoBitIdentical(t *testing.T) {
+	r := newRig(t)
+	cores := r.domain.Config().Cores
+	script := []struct {
+		engaged  int
+		activity float64
+		dt       time.Duration
+	}{
+		{cores, 0.9, time.Millisecond},
+		{cores - 4, 0.7, time.Millisecond}, // repeated dt
+		{cores - 2, 0.5, 250 * time.Microsecond},
+		{cores, 0.8, 250 * time.Microsecond}, // dt change, then repeated
+		{cores - 6, 0.6, 3 * time.Millisecond},
+		{cores, 0.9, time.Millisecond},
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	var fast, engaged, activity float64
+	for i, step := range script {
+		s := power.NodeState{EngagedCores: step.engaged, IdleCores: cores - step.engaged,
+			FreqMHz: 2400, Duty: 1, Activity: step.activity, BWUtil: 0.3, BWScale: 1}
+		b := r.ctl.Observe(s, step.dt)
+		if i == 0 {
+			fast, engaged, activity = b.PkgW(), float64(step.engaged), step.activity
+		} else {
+			fd := math.Exp(-step.dt.Seconds() / fastTau.Seconds())
+			dd := math.Exp(-step.dt.Seconds() / r.ctl.opts.DemandTau.Seconds())
+			fast = fast*fd + b.PkgW()*(1-fd)
+			engaged = engaged*dd + float64(step.engaged)*(1-dd)
+			activity = activity*dd + step.activity*(1-dd)
+		}
+		if !same(r.ctl.fastAvgW, fast) || !same(r.ctl.engaged, engaged) || !same(r.ctl.activity, activity) {
+			t.Fatalf("step %d: burst avg %v, engaged %v, activity %v; fresh %v, %v, %v",
+				i, r.ctl.fastAvgW, r.ctl.engaged, r.ctl.activity, fast, engaged, activity)
+		}
+	}
+}
+
 // TestPerfStatusPublishOnChange covers publishStatus's cache: the pokes
 // it skips while the P-state holds must never leave a core behind, and a
 // restored controller must republish.
