@@ -9,11 +9,14 @@ GO ?= go
 
 all: build vet test test-race soak-restart soak bench-smoke
 
-# The one-command pre-merge gate: build, vet, the full suite under the
-# race detector, a short randomized scenario soak, the backend-hardening
-# soak, a single pass of every benchmark, and — whenever a tracked
-# baseline exists — the recorded-perf regression gate.
-verify: build vet test-race soak-short soak-backends bench-smoke bench-diff
+# The one-command pre-merge gate: build, vet, the full suite (without
+# -race, so the simulation oracles that skip under the race detector —
+# the sample-output golden, parallel determinism, macro≡fixed-tick —
+# run), the full suite under the race detector, a short randomized
+# scenario soak, the backend-hardening soak, a single pass of every
+# benchmark, and — whenever a tracked baseline exists — the
+# recorded-perf regression gate.
+verify: build vet test test-race soak-short soak-backends bench-smoke bench-diff
 
 build:
 	$(GO) build ./...
@@ -24,9 +27,9 @@ vet:
 test:
 	$(GO) test ./...
 
-# Full suite under the race detector (the concurrent transport and
-# runtime shims are where races would live, but fault-injection tests
-# exercise reconnect paths across the whole tree).
+# Full suite under the race detector (the concurrent transport, the run
+# scheduler and the cluster shard pool are where races would live, but
+# fault-injection tests exercise reconnect paths across the whole tree).
 test-race:
 	$(GO) test -race ./...
 

@@ -20,6 +20,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -61,7 +62,11 @@ func replaySpec(runner *experiments.Runner, path string) int {
 }
 
 func main() {
-	runList := flag.String("run", "", "comma-separated artifact ids (table1,tables2to4,table5,table6,fig1..fig5,ext-alpha,ext-techniques,ext-composite,ext-cluster,ext-faults,ext-crashes,ext-partitions,ext-fleet,ext-backends); empty = all")
+	ids := make([]string, len(experiments.Artifacts))
+	for i, g := range experiments.Artifacts {
+		ids[i] = g.ID
+	}
+	runList := flag.String("run", "", "comma-separated artifact ids ("+strings.Join(ids, ",")+"); empty = all")
 	seconds := flag.Float64("seconds", 12, "virtual seconds per measurement run")
 	reps := flag.Int("reps", 3, "repetitions per power cap (Figure 4)")
 	seed := flag.Uint64("seed", 1, "base RNG seed")
@@ -138,47 +143,13 @@ func main() {
 	}.WithRunner(runner)
 	start := time.Now()
 
-	type gen struct {
-		id string
-		fn func(experiments.Options) (*experiments.Artifact, error)
-	}
-	gens := []gen{
-		{"table1", experiments.Table1},
-		{"tables2to4", func(experiments.Options) (*experiments.Artifact, error) { return experiments.Tables2to4(), nil }},
-		{"table5", func(experiments.Options) (*experiments.Artifact, error) { return experiments.Table5(), nil }},
-		{"table6", experiments.Table6},
-		{"fig1", experiments.Figure1},
-		{"fig2", experiments.Figure2},
-		{"fig3", experiments.Figure3},
-		{"fig4", experiments.Figure4},
-		{"fig5", experiments.Figure5},
-		{"ext-alpha", experiments.ExtAlphaFit},
-		{"ext-techniques", experiments.ExtTechniques},
-		{"ext-composite", experiments.ExtComposite},
-		{"ext-cluster", experiments.ExtCluster},
-		{"ext-energy", experiments.ExtEnergy},
-		{"ext-method", experiments.ExtMethod},
-		{"ext-faults", experiments.ExtFaults},
-		{"ext-crashes", experiments.ExtCrashes},
-		{"ext-partitions", experiments.ExtPartitions},
-		{"ext-fleet", experiments.ExtFleet},
-		{"ext-backends", experiments.ExtBackends},
-	}
-
 	want := map[string]bool{}
 	if *runList != "" {
 		for _, id := range strings.Split(*runList, ",") {
 			want[strings.TrimSpace(id)] = true
 		}
 		for id := range want {
-			found := false
-			for _, g := range gens {
-				if g.id == id {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !slices.Contains(ids, id) {
 				fmt.Fprintf(os.Stderr, "experiments: unknown artifact %q\n", id)
 				os.Exit(2)
 			}
@@ -186,13 +157,13 @@ func main() {
 	}
 
 	exit := 0
-	for _, g := range gens {
-		if len(want) > 0 && !want[g.id] {
+	for _, g := range experiments.Artifacts {
+		if len(want) > 0 && !want[g.ID] {
 			continue
 		}
-		art, err := g.fn(opts)
+		art, err := g.Fn(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s failed: %v\n", g.id, err)
+			fmt.Fprintf(os.Stderr, "experiments: %s failed: %v\n", g.ID, err)
 			exit = 1
 			continue
 		}

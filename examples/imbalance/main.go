@@ -1,70 +1,41 @@
-// Imbalance reproduces the paper's Listing 1 on the repository's real
-// message-passing runtime (internal/mpi): 24 ranks execute five
-// iterations of do_equal_work / do_unequal_work — "work" is sleeping, one
-// work unit per microsecond slept — separated by barriers. Rank 0 prints
-// the paper's "PROGRESS is X iterations per second" line.
-//
-// The sleeps are scaled from the paper's 1 s to 50 ms so the example
-// finishes quickly; the shape is unchanged: both variants progress at
-// the same iterations/second because the slowest rank is always on the
-// critical path, while the imbalanced variant wastes the early ranks'
-// time busy-waiting at the barrier.
+// Imbalance reproduces the paper's Listing 1 on the simulated node: 24
+// ranks execute five iterations of do_equal_work / do_unequal_work —
+// "work" is sleeping, one work unit per microsecond slept — separated by
+// barriers, and the early ranks of the unequal variant busy-wait there.
+// Both variants progress at the same iterations/second (Definition 1)
+// because the slowest rank is always on the critical path; the unequal
+// one does about half the work units (Definition 2) while its barrier
+// spinning inflates MIPS. It runs in virtual time and prints Table I's
+// rows (`go run ./cmd/experiments -run table1`).
 package main
 
 import (
 	"fmt"
 	"log"
-	"sync/atomic"
 	"time"
 
-	"progresscap/internal/mpi"
+	"progresscap/internal/apps"
+	"progresscap/internal/engine"
 )
-
-const (
-	ranks     = 24
-	iters     = 5
-	workScale = 50 * time.Millisecond // the paper's 1 s of work
-)
-
-func doEqualWork(time.Duration) time.Duration { return workScale }
-
-func doUnequalWork(rank, size int) time.Duration {
-	return time.Duration(float64(rank+1) / float64(size) * float64(workScale))
-}
-
-func runVariant(name string, equal bool) {
-	var totalUnits int64 // one unit per scaled-microsecond slept
-	err := mpi.Run(ranks, func(c *mpi.Comm) error {
-		for i := 0; i < iters; i++ {
-			start := c.Wtime()
-			var d time.Duration
-			if equal {
-				d = doEqualWork(workScale)
-			} else {
-				d = doUnequalWork(c.Rank(), c.Size())
-			}
-			time.Sleep(d)
-			atomic.AddInt64(&totalUnits, d.Microseconds())
-			c.Barrier()
-			if c.Rank() == 0 {
-				elapsed := c.Wtime() - start
-				fmt.Printf("  [%s] PROGRESS is %f iterations per second\n", name, 1.0/elapsed)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  [%s] total work units: %d\n\n", name, totalUnits)
-}
 
 func main() {
 	log.SetFlags(0)
-	fmt.Printf("Listing 1 with %d ranks, %d iterations, work scaled to %v:\n\n", ranks, iters, workScale)
-	runVariant("equal  ", true)
-	runVariant("unequal", false)
-	fmt.Println("Both variants report the same iterations/second (Definition 1);")
-	fmt.Println("the unequal variant performs about half the work units (Definition 2).")
-	fmt.Println("See `go run ./cmd/experiments -run table1` for the MIPS comparison.")
+	fmt.Printf("%-16s %12s %14s %10s %6s\n", "do_work routine", "iters/s", "work units/s", "MIPS", "spin")
+	for _, equal := range []bool{true, false} {
+		eng, err := engine.New(engine.DefaultConfig(), apps.ImbalanceSample(24, 5, equal, 1.0))
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := eng.Run(30 * time.Second)
+		if err != nil {
+			log.Fatal(err)
+		}
+		routine := "do_unequal_work"
+		if equal {
+			routine = "do_equal_work"
+		}
+		sec := res.Elapsed.Seconds()
+		fmt.Printf("%-16s %12.3f %14.0f %10.1f %6.2f\n",
+			routine, 5/sec, res.WorkUnits/sec, res.Counters.MIPS(), res.Jobs[0].Imbalance())
+	}
 }

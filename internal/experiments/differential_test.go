@@ -1,15 +1,18 @@
 package experiments
 
 import (
+	"bytes"
+	"os"
+	"strings"
 	"testing"
 )
 
 // TestMacroFixedTickEquivalence is the macro-stepping engine's
-// non-negotiable: every generator in the harness — the full paper suite
-// plus every extension, including the faulted (ext-faults, ext-crashes)
-// and partitioned (ext-partitions) scenarios — must render byte-identical
-// artifacts whether the engines inside advance event-to-event or walk the
-// fixed 100µs tick grid. It is the companion of
+// non-negotiable: every registered artifact — the full paper suite plus
+// every extension, including the faulted (ext-faults, ext-crashes),
+// partitioned (ext-partitions), fleet and backend scenarios — must render
+// byte-identical whether the engines inside advance event-to-event or
+// walk the fixed 100µs tick grid. It is the companion of
 // TestAllParallelDeterminism: that one pins the scheduler, this one pins
 // the integrator.
 func TestMacroFixedTickEquivalence(t *testing.T) {
@@ -17,22 +20,7 @@ func TestMacroFixedTickEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dual-mode full-suite sweep is expensive")
 	}
-	type gen struct {
-		name string
-		fn   func(Options) (*Artifact, error)
-	}
-	gens := []gen{
-		{"ext-alpha", ExtAlphaFit},
-		{"ext-techniques", ExtTechniques},
-		{"ext-composite", ExtComposite},
-		{"ext-energy", ExtEnergy},
-		{"ext-cluster", ExtCluster},
-		{"ext-method", ExtMethod},
-		{"ext-faults", ExtFaults},
-		{"ext-crashes", ExtCrashes},
-		{"ext-partitions", ExtPartitions},
-	}
-	render := func(fixed bool) []string {
+	render := func(fixed bool) []*Artifact {
 		opts := quickOpts()
 		opts.FixedTick = fixed
 		// Both passes run with checkpoint/fork prefix reuse enabled, so
@@ -43,28 +31,61 @@ func TestMacroFixedTickEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("All(FixedTick=%v): %v", fixed, err)
 		}
-		out := make([]string, 0, len(arts)+len(gens))
-		for _, a := range arts {
-			out = append(out, a.Render())
+		return arts
+	}
+	assertSameRenders(t, "macro", render(false), "fixed-tick", render(true))
+}
+
+// assertSameRenders fails t for every registry artifact whose render
+// differs between two All passes.
+func assertSameRenders(t *testing.T, nameA string, a []*Artifact, nameB string, b []*Artifact) {
+	t.Helper()
+	if len(a) != len(Artifacts) || len(b) != len(Artifacts) {
+		t.Fatalf("artifact counts %d and %d, want %d", len(a), len(b), len(Artifacts))
+	}
+	for i, g := range Artifacts {
+		if ra, rb := a[i].Render(), b[i].Render(); ra != rb {
+			t.Errorf("%s differs between %s and %s:\n--- %s ---\n%s\n--- %s ---\n%s",
+				g.ID, nameA, nameB, nameA, ra, nameB, rb)
 		}
-		for _, g := range gens {
-			a, err := g.fn(opts)
-			if err != nil {
-				t.Fatalf("%s(FixedTick=%v): %v", g.name, fixed, err)
+	}
+}
+
+// TestSampleOutputGolden pins docs/sample-output.txt to the exact stdout
+// of `go run ./cmd/experiments`: the registry rendered at the command's
+// defaults on a fresh runner, one Render() plus newline per artifact.
+func TestSampleOutputGolden(t *testing.T) {
+	skipIfRace(t)
+	if testing.Short() {
+		t.Skip("full-suite render is expensive")
+	}
+	const path = "../../docs/sample-output.txt"
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{RunSeconds: 12, Reps: 3, Seed: 1}.WithRunner(NewRunner(0))
+	var got bytes.Buffer
+	for _, g := range Artifacts {
+		art, err := g.Fn(opts)
+		if err != nil {
+			t.Fatalf("%s: %v", g.ID, err)
+		}
+		got.WriteString(art.Render() + "\n")
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		line := 0
+		for line < len(gl) && line < len(wl) && gl[line] == wl[line] {
+			line++
+		}
+		at := func(l []string) string {
+			if line < len(l) {
+				return l[line]
 			}
-			out = append(out, a.Render())
+			return "<EOF>"
 		}
-		return out
-	}
-	macro := render(false)
-	fixed := render(true)
-	if len(macro) != len(fixed) {
-		t.Fatalf("artifact counts differ: %d vs %d", len(macro), len(fixed))
-	}
-	for i := range macro {
-		if macro[i] != fixed[i] {
-			t.Errorf("artifact %d differs between macro and fixed-tick mode:\n--- macro ---\n%s\n--- fixed-tick ---\n%s",
-				i, macro[i], fixed[i])
-		}
+		t.Fatalf("%s is stale at line %d:\n got: %s\nwant: %s\nregenerate with: go run ./cmd/experiments > docs/sample-output.txt",
+			path, line+1, at(gl), at(wl))
 	}
 }

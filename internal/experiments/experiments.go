@@ -276,40 +276,58 @@ func meanSteadyPower(res *engine.Result, skip int) float64 {
 	return sum / float64(n)
 }
 
-// All regenerates every artifact in paper order. The generators run
+// Generator names one artifact and the function that produces it.
+type Generator struct {
+	ID string
+	Fn func(Options) (*Artifact, error)
+}
+
+// Artifacts is the registry of every artifact, in paper order: the
+// paper's tables and figures, then the extensions. cmd/experiments and
+// the whole-suite oracles iterate it, so an artifact added here is
+// rendered, determinism-checked and macro≡fixed-tick-checked at once.
+var Artifacts = []Generator{
+	{"table1", Table1},
+	{"tables2to4", func(Options) (*Artifact, error) { return Tables2to4(), nil }},
+	{"table5", func(Options) (*Artifact, error) { return Table5(), nil }},
+	{"table6", Table6},
+	{"fig1", Figure1},
+	{"fig2", Figure2},
+	{"fig3", Figure3},
+	{"fig4", Figure4},
+	{"fig5", Figure5},
+	{"ext-alpha", ExtAlphaFit},
+	{"ext-techniques", ExtTechniques},
+	{"ext-composite", ExtComposite},
+	{"ext-cluster", ExtCluster},
+	{"ext-energy", ExtEnergy},
+	{"ext-method", ExtMethod},
+	{"ext-faults", ExtFaults},
+	{"ext-crashes", ExtCrashes},
+	{"ext-partitions", ExtPartitions},
+	{"ext-fleet", ExtFleet},
+	{"ext-backends", ExtBackends},
+}
+
+// All regenerates every registered artifact. The generators run
 // concurrently on one shared scheduler, so independent simulations
 // overlap (bounded by opts.Parallel) and baselines shared between
 // artifacts — Table 6 and Figure 4 characterize the same applications —
 // simulate once. Output is byte-identical to a serial run: each artifact
 // is assembled in its own deterministic order, and the returned slice is
-// always in paper order.
+// always in registry order.
 func All(opts Options) ([]*Artifact, error) {
 	if err := opts.fillDefaults(); err != nil {
 		return nil, err
 	}
-	type gen struct {
-		name string
-		fn   func(Options) (*Artifact, error)
-	}
-	gens := []gen{
-		{"table1", Table1},
-		{"tables2to4", func(Options) (*Artifact, error) { return Tables2to4(), nil }},
-		{"table5", func(Options) (*Artifact, error) { return Table5(), nil }},
-		{"table6", Table6},
-		{"fig1", Figure1},
-		{"fig2", Figure2},
-		{"fig3", Figure3},
-		{"fig4", Figure4},
-		{"fig5", Figure5},
-	}
-	arts := make([]*Artifact, len(gens))
-	errs := make([]error, len(gens))
+	arts := make([]*Artifact, len(Artifacts))
+	errs := make([]error, len(Artifacts))
 	var wg sync.WaitGroup
-	for i, g := range gens {
+	for i, g := range Artifacts {
 		wg.Add(1)
-		go func(i int, g gen) {
+		go func(i int, g Generator) {
 			defer wg.Done()
-			arts[i], errs[i] = g.fn(opts)
+			arts[i], errs[i] = g.Fn(opts)
 		}(i, g)
 	}
 	wg.Wait()
@@ -317,7 +335,7 @@ func All(opts Options) ([]*Artifact, error) {
 	// precede the first failing generator, plus its error.
 	for i, err := range errs {
 		if err != nil {
-			return arts[:i], fmt.Errorf("experiments: %s: %w", gens[i].name, err)
+			return arts[:i], fmt.Errorf("experiments: %s: %w", Artifacts[i].ID, err)
 		}
 	}
 	return arts, nil

@@ -35,28 +35,38 @@ func TestTable1Shape(t *testing.T) {
 	if !strings.Contains(out, "do_equal_work") || !strings.Contains(out, "do_unequal_work") {
 		t.Fatalf("missing routines:\n%s", out)
 	}
-	// Parse the two MIPS cells and confirm the imbalanced run is far
-	// higher while iterations/s match.
+	// Parse both rows and confirm iterations/s match (Definition 1), the
+	// imbalanced run does (24+1)/48 of the work (Definition 2), and only
+	// it spins at the barrier, inflating MIPS.
 	csv := strings.Split(strings.TrimSpace(art.Tables[0].CSV()), "\n")
 	if len(csv) != 3 {
 		t.Fatalf("csv rows = %d", len(csv))
 	}
-	parse := func(line string) (it, mips float64) {
+	type row struct{ it, units, mips, spin float64 }
+	parse := func(line string) row {
 		f := strings.Split(line, ",")
-		it, err1 := strconv.ParseFloat(f[2], 64)
-		mips, err2 := strconv.ParseFloat(f[4], 64)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("unparseable row %q", line)
+		var r row
+		for i, dst := range []*float64{&r.it, &r.units, &r.mips, &r.spin} {
+			v, err := strconv.ParseFloat(f[2+i], 64)
+			if err != nil {
+				t.Fatalf("unparseable row %q", line)
+			}
+			*dst = v
 		}
-		return it, mips
+		return r
 	}
-	itEq, mipsEq := parse(csv[1])
-	itUn, mipsUn := parse(csv[2])
-	if itEq < 0.95 || itEq > 1.05 || itUn < 0.95 || itUn > 1.05 {
-		t.Fatalf("iterations/s: %v, %v", itEq, itUn)
+	eq, un := parse(csv[1]), parse(csv[2])
+	if eq.it < 0.95 || eq.it > 1.05 || un.it < 0.95 || un.it > 1.05 {
+		t.Fatalf("iterations/s: %v, %v", eq.it, un.it)
 	}
-	if mipsUn < 10*mipsEq {
-		t.Fatalf("MIPS not inflated by imbalance: %v vs %v", mipsEq, mipsUn)
+	if ratio := un.units / eq.units; ratio < 0.50 || ratio > 0.54 {
+		t.Fatalf("Def 2 unequal/equal = %v, want (24+1)/48 ≈ 0.521", ratio)
+	}
+	if un.mips < 10*eq.mips {
+		t.Fatalf("MIPS not inflated by imbalance: %v vs %v", eq.mips, un.mips)
+	}
+	if eq.spin != 0 || un.spin <= 0.4 {
+		t.Fatalf("spin share: equal %v (want 0), unequal %v (want > 0.4)", eq.spin, un.spin)
 	}
 }
 

@@ -154,14 +154,14 @@ func TestOptionsSentinelDefaults(t *testing.T) {
 	}
 }
 
-// TestAllParallelDeterminism is the tentpole's non-negotiable: All()
-// must render byte-identical artifacts at any parallelism.
+// TestAllParallelDeterminism is the scheduler's non-negotiable: every
+// registered artifact must render byte-identical at any parallelism.
 func TestAllParallelDeterminism(t *testing.T) {
 	skipIfRace(t)
 	if testing.Short() {
 		t.Skip("full-suite determinism sweep is expensive")
 	}
-	render := func(parallel int) []string {
+	render := func(parallel int) []*Artifact {
 		opts := quickOpts()
 		opts.Parallel = parallel
 		// The shard axis rides the same sweep: the serial pass advances
@@ -176,33 +176,7 @@ func TestAllParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("All(parallel=%d): %v", parallel, err)
 		}
-		// ext-partitions and ext-fleet are not part of All() but carry the
-		// same determinism bar: identical renders at any parallelism and
-		// any shard worker count.
-		part, err := ExtPartitions(opts)
-		if err != nil {
-			t.Fatalf("ExtPartitions(parallel=%d): %v", parallel, err)
-		}
-		fleet, err := ExtFleet(opts)
-		if err != nil {
-			t.Fatalf("ExtFleet(parallel=%d): %v", parallel, err)
-		}
-		arts = append(arts, part, fleet)
-		out := make([]string, len(arts))
-		for i, a := range arts {
-			out[i] = a.Render()
-		}
-		return out
+		return arts
 	}
-	serial := render(1)
-	wide := render(8)
-	if len(serial) != len(wide) {
-		t.Fatalf("artifact counts differ: %d vs %d", len(serial), len(wide))
-	}
-	for i := range serial {
-		if serial[i] != wide[i] {
-			t.Errorf("artifact %d differs between -parallel 1 and -parallel 8:\n--- serial ---\n%s\n--- parallel ---\n%s",
-				i, serial[i], wide[i])
-		}
-	}
+	assertSameRenders(t, "-parallel 1", render(1), "-parallel 8", render(8))
 }
