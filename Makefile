@@ -2,21 +2,25 @@
 
 GO ?= go
 
-.PHONY: all verify build vet test test-race race soak soak-short soak-backends soak-restart bench bench-smoke bench-diff bench-ab profile experiments figures clean
+.PHONY: all verify fmt build vet test test-race race soak soak-short soak-backends soak-restart bench bench-smoke bench-diff bench-ab profile experiments figures clean
 
 # `make` with no target runs the pre-merge gate.
 .DEFAULT_GOAL := verify
 
 all: build vet test test-race soak-restart soak bench-smoke
 
-# The one-command pre-merge gate: build, vet, the full suite (without
-# -race, so the simulation oracles that skip under the race detector —
+# The one-command pre-merge gate: formatting, build, vet, the full suite
+# (without -race, so the simulation oracles that skip under the race detector —
 # the sample-output golden, parallel determinism, macro≡fixed-tick —
 # run), the full suite under the race detector, a short randomized
 # scenario soak, the backend-hardening soak, a single pass of every
 # benchmark, and — whenever a tracked baseline exists — the
 # recorded-perf regression gate.
-verify: build vet test test-race soak-short soak-backends bench-smoke bench-diff
+verify: fmt build vet test test-race soak-short soak-backends bench-smoke bench-diff
+
+# Fails listing every file gofmt would change.
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -104,12 +108,14 @@ else
 endif
 
 # Paired A/B run of the repository benchmark (bench/, BENCHMARK.json):
-# the working tree against BASE on one workload, PAIRS alternating pairs
-# at the declared run length, seeds 1..PAIRS. Prints each side's median
-# and quartiles per end-to-end metric, the change's win count and
+# the working tree against BASE on one workload (or, with WORKLOAD=all,
+# on every declared workload in turn), PAIRS alternating pairs at the
+# declared run length, seeds 1..PAIRS. Prints, per workload, each side's
+# median and quartiles per end-to-end metric, the change's win count and
 # whether the digests match; fails on a digest mismatch or a failed op.
 # About 40 s a pair, so it stays out of verify.
 #   make bench-ab BASE=HEAD~1 WORKLOAD=capped-node PAIRS=10
+#   make bench-ab BASE=HEAD~1 WORKLOAD=all PAIRS=10
 WORKLOAD ?= capped-node
 PAIRS ?= 10
 bench-ab:

@@ -316,25 +316,19 @@ func (e *Engine) Resume(ck *Checkpoint) error {
 
 // SizeBytes estimates the checkpoint's in-memory footprint, for the
 // snapshot pool's byte-bounded LRU. It counts the dominant variable-size
-// payloads (trace points, samples, register maps, counter cells, fault
-// queues) plus a fixed overhead; exactness does not matter, monotonicity
-// with actual size does.
+// payloads (trace points, samples, per-core register images, counter
+// cells, fault queues) plus a fixed overhead; exactness does not matter,
+// monotonicity with actual size does.
 func (c *Checkpoint) SizeBytes() int {
 	const (
 		ptSize     = 16 // trace.Point{T, V}
 		sampleSize = 48 // progress.Sample incl. string header
-		regSize    = 32 // map entry overhead for a uint32->uint64 pair
+		regSize    = 64 // one scope's dense register image: seven values and a set mask
 		fixed      = 2048
 	)
 	n := fixed
 	n += ptSize * (len(c.PowerTrace) + len(c.CoreTrace) + len(c.FreqTrace) + len(c.DutyTrace) + len(c.BWTrace))
-	n += regSize * (len(c.Device.Pkg) + len(c.Device.WriteSeq) + len(c.Device.StalePkg))
-	for _, m := range c.Device.Core {
-		n += regSize * len(m)
-	}
-	for _, m := range c.Device.StaleCore {
-		n += regSize * len(m)
-	}
+	n += regSize * (len(c.Device.Core) + len(c.Device.StaleCore))
 	n += 8 * len(c.Bank.Vals)
 	for i := range c.Jobs {
 		j := &c.Jobs[i]

@@ -357,6 +357,7 @@ func TestEngineStateInventory(t *testing.T) {
 				"finished":       "Checkpoint refuses finished engines; always false in a snapshot",
 				"topicsDisjoint": "derived from workload names at construction",
 				"payloadFree":    "allocation recycling cache; affects allocation only, never results",
+				"drained":        "flushWindow's scratch slice; emptied at the end of every flush, so empty at any checkpoint",
 				"windowHook":     "Checkpoint refuses engines with a hook (closures cannot be deep-copied)",
 				"pubFaults":      "derived view of faults; SetFaults reinstalls it on the resumed engine",
 				"span":           "workload-composition cache; every job has consumed up to the window edge a checkpoint sits on, so the resumed engine refolds the same values",
@@ -488,7 +489,10 @@ func TestEngineStateInventory(t *testing.T) {
 			exempt: map[string]string{
 				"bus":    "wiring",
 				"prefix": "construction configuration",
-				"ch":     "Checkpoint refuses undrained channels; empty otherwise",
+				"depth":  "construction configuration",
+				"queue":  "Checkpoint refuses undrained subscriptions; empty otherwise",
+				"head":   "queue read position; zero whenever the queue is empty",
+				"ch":     "Checkpoint refuses undrained subscriptions; nil unless an outside consumer called C()",
 				"mu":     "lock",
 				"closed": "never closed during a run",
 			},

@@ -292,6 +292,9 @@ type Engine struct {
 	recycle        bool
 	topicsDisjoint bool
 	payloadFree    [][]byte
+	// drained is flushWindow's scratch for one job's drained reports,
+	// reused across windows and emptied after each.
+	drained []pubsub.Message
 
 	// reserved notes that trace series and sample slices were pre-sized
 	// from the first Advance's horizon.
@@ -924,11 +927,8 @@ func (e *Engine) flushWindow(now time.Duration) {
 	}
 	var primary progress.Sample
 	for i, j := range e.jobs {
-		for {
-			m, ok := j.sub.TryRecv()
-			if !ok {
-				break
-			}
+		e.drained = j.sub.DrainInto(e.drained[:0])
+		for _, m := range e.drained {
 			rep, err := j.dec.Unmarshal(m.Payload)
 			if err != nil {
 				// A malformed report indicates an engine bug, not user error.
@@ -941,6 +941,7 @@ func (e *Engine) flushWindow(now time.Duration) {
 			}
 			j.monitor.Offer(rep)
 		}
+		clear(e.drained)
 		s := j.monitor.Flush(now)
 		j.res.Samples = append(j.res.Samples, s)
 		j.res.RateTrace.Add(now, s.Rate)

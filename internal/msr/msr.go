@@ -29,14 +29,58 @@ const (
 	ClockModulation  uint32 = 0x19A // IA32_CLOCK_MODULATION (per core)
 )
 
-// perCore reports whether an MSR is replicated per core rather than per
-// package.
-func perCore(addr uint32) bool {
+// Register slots. The device implements exactly the seven registers
+// above, and its register file is dense: every scope (the package, and
+// each core) holds one value per slot plus a bit per slot saying whether
+// the register is set. A slot's scope is fixed: the first four registers
+// are package-wide, the last three are replicated per core.
+const (
+	slotPowerUnit = iota
+	slotPkgLimit
+	slotPkgEnergy
+	slotDramEnergy
+	slotPerfStatus // first per-core slot
+	slotPerfCtl
+	slotClockMod
+	numSlots
+)
+
+// slotOf maps a register address to its slot; ok is false for an
+// address the device does not implement.
+func slotOf(addr uint32) (slot int, ok bool) {
 	switch addr {
-	case PerfStatus, PerfCtl, ClockModulation:
-		return true
+	case RaplPowerUnit:
+		return slotPowerUnit, true
+	case PkgPowerLimit:
+		return slotPkgLimit, true
+	case PkgEnergyStatus:
+		return slotPkgEnergy, true
+	case DramEnergyStatus:
+		return slotDramEnergy, true
+	case PerfStatus:
+		return slotPerfStatus, true
+	case PerfCtl:
+		return slotPerfCtl, true
+	case ClockModulation:
+		return slotClockMod, true
 	}
-	return false
+	return 0, false
+}
+
+// regFile is one scope's register image: a value per slot and a bit per
+// slot recording whether that register holds a value.
+type regFile struct {
+	val [numSlots]uint64
+	set uint8
+}
+
+func (r *regFile) get(slot int) (uint64, bool) {
+	return r.val[slot], r.set&(1<<slot) != 0
+}
+
+func (r *regFile) put(slot int, v uint64) {
+	r.val[slot] = v
+	r.set |= 1 << slot
 }
 
 // ErrNotWhitelisted is wrapped by write errors for registers or bits the
@@ -90,24 +134,26 @@ type FaultHook func(op FaultOp, addr uint32) FaultClass
 // Device is an emulated MSR file for one package with n cores.
 // It is safe for concurrent use.
 type Device struct {
-	mu        sync.Mutex
-	cores     int
-	pkg       map[uint32]uint64
-	core      []map[uint32]uint64
-	writeMask map[uint32]uint64
+	mu    sync.Mutex
+	cores int
+	pkg   regFile
+	core  []regFile
+	// writeMask holds each whitelisted register's writable-bit mask; a
+	// register whose bit is unset is not writable at all.
+	writeMask regFile
 	writes    uint64
 	reads     uint64
 	// writeSeq counts successful whitelisted writes per register — the
 	// freshness signal the RAPL deadman watches to tell a live policy
 	// daemon (which re-arms its cap) from a dead one (whose stale cap
 	// must expire). Pokes are hardware-side and do not advance it.
-	writeSeq map[uint32]uint64
+	writeSeq [numSlots]uint64
 
 	faultHook FaultHook
-	// stale holds, per register scope, the value returned by the previous
-	// successful read — what a FaultStale access serves.
-	stalePkg  map[uint32]uint64
-	staleCore []map[uint32]uint64
+	// stalePkg and staleCore hold, per register scope, the value returned
+	// by the previous successful read — what a FaultStale access serves.
+	stalePkg  regFile
+	staleCore []regFile
 }
 
 // DefaultWhitelist mirrors the msr-safe configuration the paper's setup
@@ -124,8 +170,9 @@ func DefaultWhitelist() map[uint32]uint64 {
 
 // NewDevice returns a device for cores cores using the given write
 // whitelist (register -> writable-bit mask). A nil whitelist uses
-// DefaultWhitelist. The RAPL unit register is initialized to standard
-// Skylake units.
+// DefaultWhitelist; entries for registers the device does not implement
+// are ignored, so writes to those fail as not whitelisted. The RAPL unit
+// register is initialized to standard Skylake units.
 func NewDevice(cores int, whitelist map[uint32]uint64) *Device {
 	if cores <= 0 {
 		panic("msr: device needs at least one core")
@@ -135,21 +182,37 @@ func NewDevice(cores int, whitelist map[uint32]uint64) *Device {
 	}
 	d := &Device{
 		cores:     cores,
-		pkg:       make(map[uint32]uint64),
-		core:      make([]map[uint32]uint64, cores),
-		writeMask: whitelist,
-		writeSeq:  make(map[uint32]uint64),
-		stalePkg:  make(map[uint32]uint64),
-		staleCore: make([]map[uint32]uint64, cores),
+		core:      make([]regFile, cores),
+		staleCore: make([]regFile, cores),
 	}
-	for i := range d.core {
-		d.core[i] = make(map[uint32]uint64)
-		d.staleCore[i] = make(map[uint32]uint64)
+	for addr, mask := range whitelist {
+		if slot, ok := slotOf(addr); ok {
+			d.writeMask.put(slot, mask)
+		}
 	}
-	d.pkg[RaplPowerUnit] = DefaultUnits().encode()
-	d.pkg[PkgPowerLimit] = 0
-	d.pkg[PkgEnergyStatus] = 0
+	d.pkg.put(slotPowerUnit, DefaultUnits().encode())
+	d.pkg.put(slotPkgLimit, 0)
+	d.pkg.put(slotPkgEnergy, 0)
 	return d
+}
+
+// scope returns the register image and the stale-read image that hold a
+// slot as seen from core cpu.
+func (d *Device) scope(cpu, slot int) (regs, stale *regFile) {
+	if slot >= slotPerfStatus {
+		return &d.core[cpu], &d.staleCore[cpu]
+	}
+	return &d.pkg, &d.stalePkg
+}
+
+// mustSlot is slotOf for the hardware side, which only ever pokes
+// registers the device implements.
+func mustSlot(addr uint32) int {
+	slot, ok := slotOf(addr)
+	if !ok {
+		panic(fmt.Sprintf("msr: Poke of unimplemented register 0x%x", addr))
+	}
+	return slot
 }
 
 // Cores returns the number of cores the device models.
@@ -178,16 +241,10 @@ func (d *Device) ReadCore(cpu int, addr uint32) (uint64, error) {
 		return 0, fmt.Errorf("msr: core %d out of range [0,%d)", cpu, d.cores)
 	}
 	d.reads++
-	var m, stale map[uint32]uint64
-	if perCore(addr) {
-		m = d.core[cpu]
-		stale = d.staleCore[cpu]
-	} else {
-		m = d.pkg
-		stale = d.stalePkg
-	}
-	v, ok := m[addr]
-	if !ok {
+	slot, ok := slotOf(addr)
+	regs, stale := d.scope(cpu, slot)
+	v, set := regs.get(slot)
+	if !ok || !set {
 		return 0, fmt.Errorf("msr: read of unimplemented register 0x%x", addr)
 	}
 	if d.faultHook != nil {
@@ -195,12 +252,12 @@ func (d *Device) ReadCore(cpu int, addr uint32) (uint64, error) {
 		case FaultEIO:
 			return 0, ErrIO
 		case FaultStale:
-			if old, seen := stale[addr]; seen {
+			if old, seen := stale.get(slot); seen {
 				return old, nil
 			}
 		}
 	}
-	stale[addr] = v
+	stale.put(slot, v)
 	return v, nil
 }
 
@@ -221,23 +278,18 @@ func (d *Device) WriteCore(cpu int, addr uint32, v uint64) error {
 	if d.faultHook != nil && d.faultHook(OpWrite, addr) == FaultEIO {
 		return ErrIO
 	}
-	mask, ok := d.writeMask[addr]
-	if !ok {
+	slot, ok := slotOf(addr)
+	mask, whitelisted := d.writeMask.get(slot)
+	if !ok || !whitelisted {
 		return &ErrNotWhitelisted{Addr: addr}
 	}
-	var m map[uint32]uint64
-	if perCore(addr) {
-		m = d.core[cpu]
-	} else {
-		m = d.pkg
-	}
-	old := m[addr]
-	if changed := (old ^ v) &^ mask; changed != 0 {
+	regs, _ := d.scope(cpu, slot)
+	if changed := (regs.val[slot] ^ v) &^ mask; changed != 0 {
 		return &ErrNotWhitelisted{Addr: addr, Bits: changed}
 	}
 	d.writes++
-	d.writeSeq[addr]++
-	m[addr] = v
+	d.writeSeq[slot]++
+	regs.put(slot, v)
 	return nil
 }
 
@@ -246,14 +298,19 @@ func (d *Device) WriteCore(cpu int, addr uint32, v uint64) error {
 // Pokes do not count, so a consumer watching the sequence sees exactly
 // the policy side's live re-arms.
 func (d *Device) WriteSeq(addr uint32) uint64 {
+	slot, ok := slotOf(addr)
+	if !ok {
+		return 0
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.writeSeq[addr]
+	return d.writeSeq[slot]
 }
 
 // Poke bypasses the whitelist; it is how the hardware side of the
 // simulation (the RAPL emulator) updates read-only registers like energy
-// status and PERF_STATUS. Policy code must never call it.
+// status and PERF_STATUS. Policy code must never call it, and it panics
+// on a register the device does not implement.
 func (d *Device) Poke(addr uint32, v uint64) {
 	d.PokeCore(0, addr, v)
 }
@@ -265,25 +322,24 @@ func (d *Device) PokeCore(cpu int, addr uint32, v uint64) {
 	if cpu < 0 || cpu >= d.cores {
 		panic(fmt.Sprintf("msr: Poke on core %d out of range", cpu))
 	}
-	if perCore(addr) {
-		d.core[cpu][addr] = v
-	} else {
-		d.pkg[addr] = v
-	}
+	slot := mustSlot(addr)
+	regs, _ := d.scope(cpu, slot)
+	regs.put(slot, v)
 }
 
 // PokeAllCores is PokeCore on every core under one lock, the way the
 // hardware side publishes a package-wide value into a per-core register
 // such as PERF_STATUS. A package-scope register is simply poked once.
 func (d *Device) PokeAllCores(addr uint32, v uint64) {
+	slot := mustSlot(addr)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !perCore(addr) {
-		d.pkg[addr] = v
+	if slot < slotPerfStatus {
+		d.pkg.put(slot, v)
 		return
 	}
-	for _, regs := range d.core {
-		regs[addr] = v
+	for i := range d.core {
+		d.core[i].put(slot, v)
 	}
 }
 

@@ -56,6 +56,46 @@ func TestDeviceNonWhitelistedRegisterRejected(t *testing.T) {
 	}
 }
 
+// TestDeviceUnimplementedRegisterNotWritable: a whitelist entry for an
+// address the device does not implement grants nothing — the write fails
+// as not whitelisted and no register appears.
+func TestDeviceUnimplementedRegisterNotWritable(t *testing.T) {
+	d := NewDevice(1, map[uint32]uint64{0xDEAD: ^uint64(0), PkgPowerLimit: 0xFF})
+	err := d.Write(0xDEAD, 1)
+	var nw *ErrNotWhitelisted
+	if !errors.As(err, &nw) || nw.Addr != 0xDEAD || nw.Bits != 0 {
+		t.Fatalf("err = %v, want ErrNotWhitelisted for 0xdead", err)
+	}
+	if _, err := d.Read(0xDEAD); err == nil {
+		t.Fatal("read of the unimplemented register succeeded")
+	}
+	if d.WriteSeq(0xDEAD) != 0 {
+		t.Fatal("rejected write advanced a write sequence")
+	}
+	if err := d.Write(PkgPowerLimit, 0x7F); err != nil {
+		t.Fatalf("whitelisted write failed: %v", err)
+	}
+}
+
+// TestDevicePokeUnimplementedPanics: the hardware side only pokes
+// registers the device implements.
+func TestDevicePokeUnimplementedPanics(t *testing.T) {
+	for name, poke := range map[string]func(d *Device){
+		"Poke":         func(d *Device) { d.Poke(0xDEAD, 1) },
+		"PokeCore":     func(d *Device) { d.PokeCore(0, 0xDEAD, 1) },
+		"PokeAllCores": func(d *Device) { d.PokeAllCores(0xDEAD, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s of an unimplemented register did not panic", name)
+				}
+			}()
+			poke(NewDevice(2, nil))
+		}()
+	}
+}
+
 func TestDeviceNonWhitelistedBitsRejected(t *testing.T) {
 	d := NewDevice(1, nil)
 	// Bit 63 of PKG_POWER_LIMIT (lock bit) is outside the whitelist mask.

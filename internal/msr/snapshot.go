@@ -7,31 +7,19 @@
 
 package msr
 
-// DeviceState is a deep copy of a Device's mutable state.
+import "slices"
+
+// DeviceState is a deep copy of a Device's mutable state, in the
+// device's dense layout: each register image carries which registers are
+// set alongside their values.
 type DeviceState struct {
-	Pkg       map[uint32]uint64
-	Core      []map[uint32]uint64
+	Pkg       regFile
+	Core      []regFile
 	Writes    uint64
 	Reads     uint64
-	WriteSeq  map[uint32]uint64
-	StalePkg  map[uint32]uint64
-	StaleCore []map[uint32]uint64
-}
-
-func copyRegs(m map[uint32]uint64) map[uint32]uint64 {
-	out := make(map[uint32]uint64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func copyCoreRegs(ms []map[uint32]uint64) []map[uint32]uint64 {
-	out := make([]map[uint32]uint64, len(ms))
-	for i, m := range ms {
-		out[i] = copyRegs(m)
-	}
-	return out
+	WriteSeq  [numSlots]uint64
+	StalePkg  regFile
+	StaleCore []regFile
 }
 
 // Snapshot captures the device's register file and access accounting.
@@ -39,13 +27,13 @@ func (d *Device) Snapshot() DeviceState {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return DeviceState{
-		Pkg:       copyRegs(d.pkg),
-		Core:      copyCoreRegs(d.core),
+		Pkg:       d.pkg,
+		Core:      slices.Clone(d.core),
 		Writes:    d.writes,
 		Reads:     d.reads,
-		WriteSeq:  copyRegs(d.writeSeq),
-		StalePkg:  copyRegs(d.stalePkg),
-		StaleCore: copyCoreRegs(d.staleCore),
+		WriteSeq:  d.writeSeq,
+		StalePkg:  d.stalePkg,
+		StaleCore: slices.Clone(d.staleCore),
 	}
 }
 
@@ -57,13 +45,13 @@ func (d *Device) Restore(s DeviceState) {
 	if len(s.Core) != d.cores || len(s.StaleCore) != d.cores {
 		panic("msr: device state core count mismatch")
 	}
-	d.pkg = copyRegs(s.Pkg)
-	d.core = copyCoreRegs(s.Core)
+	d.pkg = s.Pkg
+	copy(d.core, s.Core)
 	d.writes = s.Writes
 	d.reads = s.Reads
-	d.writeSeq = copyRegs(s.WriteSeq)
-	d.stalePkg = copyRegs(s.StalePkg)
-	d.staleCore = copyCoreRegs(s.StaleCore)
+	d.writeSeq = s.WriteSeq
+	d.stalePkg = s.StalePkg
+	copy(d.staleCore, s.StaleCore)
 }
 
 // EnergyCounterState is the full-resolution position of an EnergyCounter

@@ -11,9 +11,9 @@ import (
 func TestWrapDelta(t *testing.T) {
 	const ujMod = (uint64(1) << 32) * 1_000_000 >> 14 // max_energy_range_uj for EnergyBits=14
 	cases := []struct {
-		name             string
-		prev, cur, mod   uint64
-		want             uint64
+		name           string
+		prev, cur, mod uint64
+		want           uint64
 	}{
 		{"no-wrap", 100, 250, EnergyWrapModulus, 150},
 		{"equal", 7, 7, EnergyWrapModulus, 0},

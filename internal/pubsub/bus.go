@@ -1,37 +1,48 @@
 package pubsub
 
 import (
+	"slices"
 	"sync"
 )
 
 // Bus is the in-process broker. It is safe for concurrent use, though the
 // deterministic simulation engine drives it from a single goroutine.
 type Bus struct {
-	mu         sync.Mutex
-	subs       map[*Subscription]struct{}
+	mu sync.Mutex
+	// subs is in subscription order, which is the delivery order.
+	subs       []*Subscription
 	published  uint64
 	dropped    uint64
 	topicDrops map[string]uint64
 }
 
 // Subscription receives messages whose topic matches its prefix. Messages
-// are buffered; when the buffer is full, new messages for this
-// subscription are dropped (ZeroMQ PUB/SUB semantics).
+// are buffered up to the subscription's depth; when the buffer is full,
+// new messages for this subscription are dropped (ZeroMQ PUB/SUB
+// semantics).
+//
+// The buffer is a queue that grows on demand up to the depth and keeps
+// its capacity across drains, so a subscription costs memory in
+// proportion to its backlog, not its depth. The first call to C() moves
+// the subscription onto a channel of the full depth for consumers that
+// block on receive.
 type Subscription struct {
-	bus     *Bus
-	prefix  string
+	bus    *Bus
+	prefix string
+	depth  int
+	mu     sync.Mutex
+	// queue[head:] holds the buffered messages until C() is first
+	// called; ch holds them from then on.
+	queue   []Message
+	head    int
 	ch      chan Message
-	mu      sync.Mutex
 	dropped uint64
 	closed  bool
 }
 
 // NewBus returns an empty broker.
 func NewBus() *Bus {
-	return &Bus{
-		subs:       make(map[*Subscription]struct{}),
-		topicDrops: make(map[string]uint64),
-	}
+	return &Bus{topicDrops: make(map[string]uint64)}
 }
 
 // Subscribe registers interest in topics beginning with prefix. The empty
@@ -41,9 +52,9 @@ func (b *Bus) Subscribe(prefix string, buffer int) *Subscription {
 	if buffer < 1 {
 		panic("pubsub: subscription buffer must be >= 1")
 	}
-	s := &Subscription{bus: b, prefix: prefix, ch: make(chan Message, buffer)}
+	s := &Subscription{bus: b, prefix: prefix, depth: buffer}
 	b.mu.Lock()
-	b.subs[s] = struct{}{}
+	b.subs = append(b.subs, s)
 	b.mu.Unlock()
 	return s
 }
@@ -55,22 +66,53 @@ func (b *Bus) Publish(m Message) int {
 	defer b.mu.Unlock()
 	b.published++
 	delivered := 0
-	for s := range b.subs {
+	for _, s := range b.subs {
 		if !m.MatchesPrefix(s.prefix) {
 			continue
 		}
-		select {
-		case s.ch <- m:
+		if s.offer(m) {
 			delivered++
-		default:
-			b.dropped++
-			b.topicDrops[m.Topic]++
-			s.mu.Lock()
-			s.dropped++
-			s.mu.Unlock()
+			continue
 		}
+		b.dropped++
+		b.topicDrops[m.Topic]++
 	}
 	return delivered
+}
+
+// offer buffers m, or counts a drop when the buffer is full.
+func (s *Subscription) offer(m Message) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ch != nil {
+		select {
+		case s.ch <- m:
+			return true
+		default:
+		}
+	} else if len(s.queue)-s.head < s.depth {
+		s.push(m)
+		return true
+	}
+	s.dropped++
+	return false
+}
+
+// push appends m to the queue, first reclaiming the received prefix or,
+// when there is none, growing the queue toward the depth.
+func (s *Subscription) push(m Message) {
+	if len(s.queue) == cap(s.queue) {
+		if s.head > 0 {
+			n := copy(s.queue, s.queue[s.head:])
+			clear(s.queue[n:])
+			s.queue, s.head = s.queue[:n], 0
+		} else {
+			grown := make([]Message, len(s.queue), min(max(2*cap(s.queue), 8), s.depth))
+			copy(grown, s.queue)
+			s.queue = grown
+		}
+	}
+	s.queue = append(s.queue, m)
 }
 
 // NumSubscribers returns the current subscription count. The engine uses
@@ -103,27 +145,63 @@ func (b *Bus) TopicDrops() map[string]uint64 {
 	return out
 }
 
-// C returns the subscription's receive channel. The channel is closed by
-// Close.
-func (s *Subscription) C() <-chan Message { return s.ch }
+// C returns the subscription's receive channel, which Close closes. The
+// first call moves the subscription onto a channel of the full depth,
+// carrying over any buffered messages in order.
+func (s *Subscription) C() <-chan Message {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ch == nil {
+		s.ch = make(chan Message, s.depth)
+		for _, m := range s.queue[s.head:] {
+			s.ch <- m
+		}
+		s.queue, s.head = nil, 0
+		if s.closed {
+			close(s.ch)
+		}
+	}
+	return s.ch
+}
 
 // TryRecv returns the next buffered message without blocking. ok is false
 // when the buffer is empty.
 func (s *Subscription) TryRecv() (Message, bool) {
-	select {
-	case m, open := <-s.ch:
-		if !open {
+	s.mu.Lock()
+	if ch := s.ch; ch != nil {
+		s.mu.Unlock()
+		select {
+		case m, open := <-ch:
+			return m, open
+		default:
 			return Message{}, false
 		}
-		return m, true
-	default:
+	}
+	defer s.mu.Unlock()
+	if s.head == len(s.queue) {
 		return Message{}, false
 	}
+	m := s.queue[s.head]
+	s.queue[s.head] = Message{}
+	s.head++
+	if s.head == len(s.queue) {
+		s.queue, s.head = s.queue[:0], 0
+	}
+	return m, true
 }
 
 // DrainInto appends every currently buffered message to dst and returns
 // the extended slice.
 func (s *Subscription) DrainInto(dst []Message) []Message {
+	s.mu.Lock()
+	if s.ch == nil {
+		dst = append(dst, s.queue[s.head:]...)
+		clear(s.queue)
+		s.queue, s.head = s.queue[:0], 0
+		s.mu.Unlock()
+		return dst
+	}
+	s.mu.Unlock()
 	for {
 		m, ok := s.TryRecv()
 		if !ok {
@@ -147,14 +225,16 @@ func (s *Subscription) Prefix() string { return s.prefix }
 // Close unregisters the subscription and closes its channel. Close is
 // idempotent.
 func (s *Subscription) Close() {
-	s.bus.mu.Lock()
-	_, registered := s.bus.subs[s]
-	delete(s.bus.subs, s)
-	s.bus.mu.Unlock()
+	b := s.bus
+	b.mu.Lock()
+	if i := slices.Index(b.subs, s); i >= 0 {
+		b.subs = slices.Delete(b.subs, i, i+1)
+	}
+	b.mu.Unlock()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.closed && registered {
+	if !s.closed && s.ch != nil {
 		close(s.ch)
 	}
 	s.closed = true

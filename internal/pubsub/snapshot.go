@@ -1,4 +1,4 @@
-// Checkpoint accessors. The bus's channels must be empty at a
+// Checkpoint accessors. Every subscription's buffer must be empty at a
 // checkpoint instant (the engine only snapshots at window boundaries,
 // right after the flush drained every subscription), so only the drop
 // accounting is state; Pending exposes the emptiness check.
@@ -38,7 +38,14 @@ func (b *Bus) Restore(s BusState) {
 // Pending returns how many delivered messages are buffered and not yet
 // received. The engine requires zero before checkpointing: buffered
 // payloads alias recyclable buffers and do not survive a deep copy.
-func (s *Subscription) Pending() int { return len(s.ch) }
+func (s *Subscription) Pending() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ch != nil {
+		return len(s.ch)
+	}
+	return len(s.queue) - s.head
+}
 
 // SetDropped restores the subscription's per-subscription drop count.
 func (s *Subscription) SetDropped(n uint64) {

@@ -67,9 +67,9 @@ func (v Violation) String() string { return v.Oracle + ": " + v.Detail }
 
 // Report is the outcome of soaking one scenario.
 type Report struct {
-	Hash       string         `json:"hash"`
-	Scenario   spec.Scenario  `json:"scenario"`
-	Violations []Violation    `json:"violations,omitempty"`
+	Hash       string        `json:"hash"`
+	Scenario   spec.Scenario `json:"scenario"`
+	Violations []Violation   `json:"violations,omitempty"`
 }
 
 // Failed reports whether any oracle fired.

@@ -81,15 +81,15 @@ type SchemeSpec struct {
 
 	Watts float64 `json:"watts,omitempty"` // constant
 
-	DelaySec    float64 `json:"delay_sec,omitempty"`       // linear
-	StartW      float64 `json:"start_w,omitempty"`         // linear, jagged
-	MinW        float64 `json:"min_w,omitempty"`           // linear
-	RateWPerSec float64 `json:"rate_w_per_sec,omitempty"`  // linear
-	HighW       float64 `json:"high_w,omitempty"`          // step
-	LowW        float64 `json:"low_w,omitempty"`           // step, jagged
-	HighForSec  float64 `json:"high_for_sec,omitempty"`    // step
-	LowForSec   float64 `json:"low_for_sec,omitempty"`     // step
-	FallForSec  float64 `json:"fall_for_sec,omitempty"`    // jagged
+	DelaySec    float64 `json:"delay_sec,omitempty"`        // linear
+	StartW      float64 `json:"start_w,omitempty"`          // linear, jagged
+	MinW        float64 `json:"min_w,omitempty"`            // linear
+	RateWPerSec float64 `json:"rate_w_per_sec,omitempty"`   // linear
+	HighW       float64 `json:"high_w,omitempty"`           // step
+	LowW        float64 `json:"low_w,omitempty"`            // step, jagged
+	HighForSec  float64 `json:"high_for_sec,omitempty"`     // step
+	LowForSec   float64 `json:"low_for_sec,omitempty"`      // step
+	FallForSec  float64 `json:"fall_for_sec,omitempty"`     // jagged
 	UncappedSec float64 `json:"uncapped_for_sec,omitempty"` // jagged
 }
 
