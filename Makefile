@@ -2,21 +2,22 @@
 
 GO ?= go
 
-.PHONY: all verify fmt build vet test test-race race soak soak-short soak-backends soak-restart bench bench-smoke bench-diff bench-ab profile experiments figures clean
+.PHONY: all verify fmt build vet bench-vet test test-race race soak soak-short soak-backends soak-restart bench bench-smoke bench-diff bench-ab profile experiments figures clean
 
 # `make` with no target runs the pre-merge gate.
 .DEFAULT_GOAL := verify
 
 all: build vet test test-race soak-restart soak bench-smoke
 
-# The one-command pre-merge gate: formatting, build, vet, the full suite
-# (without -race, so the simulation oracles that skip under the race detector —
-# the sample-output golden, parallel determinism, macro≡fixed-tick —
-# run), the full suite under the race detector, a short randomized
-# scenario soak, the backend-hardening soak, a single pass of every
+# The one-command pre-merge gate: formatting, build, vet, the benchmark
+# module's vet and tests, the full suite (without -race, so the
+# simulation oracles that skip under the race detector — the
+# sample-output golden, parallel determinism, macro≡fixed-tick — run),
+# the full suite under the race detector, a short randomized scenario
+# soak, the backend-hardening soak, a single pass of every
 # benchmark, and — whenever a tracked baseline exists — the
 # recorded-perf regression gate.
-verify: fmt build vet test test-race soak-short soak-backends bench-smoke bench-diff
+verify: fmt build vet bench-vet test test-race soak-short soak-backends bench-smoke bench-diff
 
 # Fails listing every file gofmt would change.
 fmt:
@@ -27,6 +28,14 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# The repository benchmark (bench/) is its own Go module, so the root
+# `go build ./...` and `go vet ./...` skip it: without this step a rename
+# that breaks capbench's imports passes verify and surfaces only in
+# bench-ab. GOPROXY=off keeps it offline; -mod=mod resolves the module's
+# replace of the root module without a go.sum.
+bench-vet:
+	cd bench && GOPROXY=off GOFLAGS=-mod=mod $(GO) vet ./... && GOPROXY=off GOFLAGS=-mod=mod $(GO) test ./...
 
 test:
 	$(GO) test ./...

@@ -6,23 +6,23 @@
 // job manager watches online progress — the capability the paper argues
 // progress monitoring enables.
 //
-// The manager advances every node engine in one-second epochs. At each
-// epoch it reads per-node feedback (measured power, online performance,
-// a running baseline estimate), asks its division policy for new
-// per-node caps under the current job budget, and programs them through
-// each node's whitelisted MSR interface — exactly the interposition
-// point a real NRM uses.
+// One job skeleton (job.go) advances every node engine in one-second
+// epochs under one of two control planes. The direct Manager (this
+// file) reads per-node feedback (measured power, online performance, a
+// running baseline estimate), asks its division policy for new per-node
+// caps under the current job budget, and programs them through each
+// node's whitelisted MSR interface — exactly the interposition point a
+// real NRM uses. The LeasedCluster (leased.go) replaces the direct
+// writes with time-bounded leases from a replicated manager pair.
 package cluster
 
 import (
 	"fmt"
 	"time"
 
-	"progresscap/internal/engine"
 	"progresscap/internal/fault"
 	"progresscap/internal/rapl"
 	"progresscap/internal/stats"
-	"progresscap/internal/trace"
 )
 
 // Epoch is the job manager's control period.
@@ -34,19 +34,15 @@ const Epoch = time.Second
 // its full TDP out of the job's allocation.
 const DefaultQuarantineCapW = 40
 
-// Config carries the manager knobs that were previously compile-time
-// constants. The zero value is replaced by defaults in Validate.
+// Config carries the leased cluster's safety knob (the direct Manager
+// always quarantines at DefaultQuarantineCapW). The zero value is
+// replaced by defaults in Validate.
 type Config struct {
 	// QuarantineCapW is the power cap held on a fenced node. Must be
 	// positive (0 is "uncapped" in RAPL semantics) and below the node
 	// TDP — quarantine exists to bound a silent node's draw, so a cap at
 	// or above TDP would be a no-op disguised as a safety measure.
 	QuarantineCapW float64
-}
-
-// DefaultClusterConfig returns the defaults.
-func DefaultClusterConfig() Config {
-	return Config{QuarantineCapW: DefaultQuarantineCapW}
 }
 
 // Validate fills defaults and rejects unsafe values.
@@ -73,7 +69,7 @@ type NodeStatus struct {
 	Baseline float64 // running estimate of the uncapped rate
 	Done     bool
 	// Failed marks a node the manager's watchdog has fenced: its progress
-	// stream went silent for FailureEpochs. Policies must not allocate
+	// stream went silent for three epochs. Policies must not allocate
 	// budget to it; the manager holds it at a quarantine cap instead.
 	Failed bool
 }
@@ -234,142 +230,33 @@ func DecayingBudget(startW, endW float64, over time.Duration) BudgetFunc {
 	}
 }
 
-// Node is one compute node under the manager.
-type Node struct {
-	name     string
-	eng      *engine.Engine
-	capW     float64
-	baseline float64
-	lastRate float64
-	lastPow  float64
-	capTrace *trace.Series
-	result   *engine.Result
-
-	// Watchdog state: a node whose monitor sample count stops moving for
-	// FailureEpochs consecutive epochs is fenced (failed = true); a
-	// fenced node must then keep samples flowing for ProbationEpochs
-	// consecutive epochs before it is un-fenced and gets its budget
-	// share back.
-	failed         bool
-	lastSamples    int
-	stagnantEpochs int
-	freshEpochs    int
-}
-
-// Name returns the node's name.
-func (n *Node) Name() string { return n.name }
-
-// CapTrace returns the caps the manager programmed on this node.
-func (n *Node) CapTrace() *trace.Series { return n.capTrace }
-
-// Result returns the node's engine result (after Run).
-func (n *Node) Result() *engine.Result { return n.result }
-
-// NewNode wraps an engine. The engine must not have its own policy
-// daemon — the cluster manager owns the node's power limit.
-func NewNode(name string, eng *engine.Engine) *Node {
-	n := &Node{
-		name:     name,
-		eng:      eng,
-		capTrace: trace.NewSeries("cluster.cap."+name, "W"),
-	}
-	eng.SetWindowHook(func(ws engine.WindowStats) { n.lastPow = ws.PkgW })
-	return n
-}
-
-// Result is the job-level outcome.
-type Result struct {
-	Elapsed time.Duration
-	// MinProgress and MeanProgress track the job's normalized progress
-	// per epoch: the minimum across nodes (the bulk-synchronous job
-	// rate) and the mean.
-	MinProgress  *trace.Series
-	MeanProgress *trace.Series
-	BudgetTrace  *trace.Series
-	TotalEnergyJ float64
-	Nodes        []*Node
-	Completed    bool
-}
-
-// MeanMinProgress averages the per-epoch minimum normalized progress —
-// the headline number for comparing division policies on synchronous
-// jobs.
-func (r *Result) MeanMinProgress() float64 {
-	vals := r.MinProgress.Values()
-	// Skip the calibration epochs where baselines are still settling.
-	if len(vals) > 4 {
-		vals = vals[2:]
-	}
-	return stats.Mean(vals)
-}
-
-// Manager drives a set of nodes under a job budget.
+// Manager is the direct control plane: it drives a set of nodes under a
+// job budget by writing every node's cap itself each epoch.
 type Manager struct {
-	nodes  []*Node
+	job
 	policy Policy
-	budget BudgetFunc
-	cfg    Config
-
-	// UncappedEpochs is how many initial epochs run without caps to
-	// estimate per-node baselines (default 2).
-	UncappedEpochs int
-
-	// FailureEpochs is how many consecutive epochs a node's progress
-	// stream may stay frozen before the watchdog fences it (default 3).
-	FailureEpochs int
-
-	// ProbationEpochs is how many consecutive epochs a fenced node must
-	// keep samples flowing before the watchdog un-fences it and returns
-	// its budget share (default 3). Without it, a flapping node would
-	// bounce in and out of the allocation every epoch, destabilizing
-	// every healthy node's cap.
-	ProbationEpochs int
-
-	faults *fault.Injector
-
-	// pool fans node advancement across shards each epoch (see shard.go);
-	// its worker bound is set with SetNodeWorkers.
-	pool shardPool
-
-	// policyHook, when non-nil, is consulted each post-calibration epoch
-	// and may swap the division policy at runtime (see SetPolicyHook).
-	policyHook PolicyHook
-
-	epoch    int
-	elapsed  time.Duration
-	res      *Result
-	finished bool
-
-	// budgetOverride, when >= 0, replaces the BudgetFunc for the next
-	// epochs — how a system-level controller retargets a running job.
-	budgetOverride float64
+	views  []nodeView
+	caps   []float64 // cap programmed this epoch (0 = uncapped)
+	seen   []int     // monitor samples seen at the last feedback
 }
 
-// NewManager assembles a job manager with default Config.
+// uncappedEpochs is how many initial epochs run without caps to
+// estimate per-node baselines.
+const uncappedEpochs = 2
+
+// NewManager assembles a direct job manager.
 func NewManager(policy Policy, budget BudgetFunc, nodes ...*Node) (*Manager, error) {
-	return NewManagerCfg(DefaultClusterConfig(), policy, budget, nodes...)
-}
-
-// NewManagerCfg assembles a job manager with an explicit Config.
-func NewManagerCfg(cfg Config, policy Policy, budget BudgetFunc, nodes ...*Node) (*Manager, error) {
-	if err := cfg.Validate(); err != nil {
+	if policy == nil {
+		return nil, fmt.Errorf("cluster: nil policy")
+	}
+	j, err := newJob(budget, "cluster.", nodes)
+	if err != nil {
 		return nil, err
 	}
-	if policy == nil || budget == nil {
-		return nil, fmt.Errorf("cluster: nil policy or budget")
-	}
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("cluster: no nodes")
-	}
-	seen := map[string]bool{}
-	for _, n := range nodes {
-		if seen[n.name] {
-			return nil, fmt.Errorf("cluster: duplicate node name %q", n.name)
-		}
-		seen[n.name] = true
-	}
-	return &Manager{nodes: nodes, policy: policy, budget: budget, cfg: cfg,
-		UncappedEpochs: 2, FailureEpochs: 3, ProbationEpochs: 3, budgetOverride: -1}, nil
+	m := &Manager{job: j, policy: policy, views: make([]nodeView, len(nodes)),
+		caps: make([]float64, len(nodes)), seen: make([]int, len(nodes))}
+	m.plane = m
+	return m, nil
 }
 
 // SetFaults installs a fault injector whose per-node plans (crash,
@@ -377,21 +264,11 @@ func NewManagerCfg(cfg Config, policy Policy, budget BudgetFunc, nodes ...*Node)
 // Step.
 func (m *Manager) SetFaults(inj *fault.Injector) { m.faults = inj }
 
-// SetNodeWorkers bounds how many node shards advance concurrently each
-// epoch: 0 (the default) means GOMAXPROCS, 1 means the plain serial
-// loop. Results are byte-identical at any setting — engines are fully
-// self-contained — so this is purely a wall-clock knob. Call before the
-// first Step.
-func (m *Manager) SetNodeWorkers(workers int) { m.pool.workers = workers }
-
-// ShardStats returns the shard pool's accumulated counters.
-func (m *Manager) ShardStats() ShardStats { return m.pool.stats }
-
 // FailedNodes lists the nodes currently fenced by the watchdog.
 func (m *Manager) FailedNodes() []string {
 	var out []string
-	for _, n := range m.nodes {
-		if n.failed {
+	for i, n := range m.nodes {
+		if m.views[i].fence.fenced {
 			out = append(out, n.name)
 		}
 	}
@@ -403,275 +280,76 @@ func (m *Manager) FailedNodes() []string {
 // job). A negative value restores the original function.
 func (m *Manager) SetBudgetOverride(watts float64) { m.budgetOverride = watts }
 
-// Done reports whether every node's workload has completed.
-func (m *Manager) Done() bool {
-	for _, n := range m.nodes {
-		if !n.eng.Done() {
-			return false
-		}
-	}
-	return true
-}
-
 // Statuses snapshots the nodes' current feedback.
-func (m *Manager) Statuses() []NodeStatus { return m.statuses() }
-
-func (m *Manager) ensureResult() {
-	if m.res == nil {
-		m.res = &Result{
-			MinProgress:  trace.NewSeries("cluster.progress.min", "normalized"),
-			MeanProgress: trace.NewSeries("cluster.progress.mean", "normalized"),
-			BudgetTrace:  trace.NewSeries("cluster.budget", "W"),
-			Nodes:        m.nodes,
-		}
+func (m *Manager) Statuses() []NodeStatus {
+	out := make([]NodeStatus, len(m.nodes))
+	for i, n := range m.nodes {
+		out[i] = m.views[i].status(n.name)
+		out[i].CapW = m.caps[i]
+		out[i].PowerW = n.lastPow
+		out[i].Done = n.eng.Done()
 	}
+	return out
 }
 
-// Step advances the job by one epoch: decide caps, program them, advance
-// every node, collect feedback. It reports whether the job is done.
-func (m *Manager) Step() (bool, error) {
-	if m.finished {
-		return true, fmt.Errorf("cluster: Step after Finish")
-	}
-	m.ensureResult()
-	res := m.res
-	// Every per-epoch series is stamped at the epoch's end instant, so
-	// the budget in force, the caps programmed, and the progress measured
-	// over the same epoch all align on one timestamp.
-	end := m.elapsed + Epoch
-
-	// 1. Decide and program caps.
-	budgetW := m.budget(m.elapsed)
-	if m.budgetOverride >= 0 {
-		budgetW = m.budgetOverride
-	}
-	res.BudgetTrace.Add(end, budgetW)
-	statuses := m.statuses()
-	if m.policyHook != nil && m.epoch >= m.UncappedEpochs {
-		if p := m.policyHook(m.epoch, statuses); p != nil {
-			m.policy = p
+// control decides and programs the epoch's caps. The first
+// uncappedEpochs run uncapped to calibrate the baselines; after that the
+// policy divides the budget left once every fenced node's quarantine
+// cap is reserved.
+func (m *Manager) control(budgetW float64, now time.Duration) error {
+	if now >= uncappedEpochs*Epoch {
+		statuses := m.Statuses()
+		divisible := budgetW
+		for _, s := range statuses {
+			if s.Failed && !s.Done {
+				divisible -= DefaultQuarantineCapW
+			}
 		}
-	}
-
-	// Fenced nodes are held at the quarantine cap; that power comes out
-	// of the job budget before the policy divides the remainder among
-	// healthy nodes.
-	divisible := budgetW
-	for _, s := range statuses {
-		if s.Failed && !s.Done {
-			divisible -= m.cfg.QuarantineCapW
+		if divisible < 0 {
+			divisible = 0
 		}
-	}
-	if divisible < 0 {
-		divisible = 0
-	}
-
-	var caps []float64
-	if m.epoch < m.UncappedEpochs {
-		caps = make([]float64, len(m.nodes)) // calibration: uncapped
-	} else {
-		caps = m.policy.Divide(divisible, statuses)
+		caps := m.policy.Divide(divisible, statuses)
 		if len(caps) != len(m.nodes) {
-			return false, fmt.Errorf("cluster: policy %s returned %d caps for %d nodes",
+			return fmt.Errorf("cluster: policy %s returned %d caps for %d nodes",
 				m.policy.Name(), len(caps), len(m.nodes))
 		}
 		clampCaps(caps, divisible)
 		for i, s := range statuses {
 			if s.Failed && !s.Done {
-				caps[i] = m.cfg.QuarantineCapW
+				caps[i] = DefaultQuarantineCapW
 			}
 		}
+		m.caps = caps
 	}
 	for i, n := range m.nodes {
-		n.capW = caps[i]
-		if err := rapl.WriteLimitRetry(n.eng.Device(), caps[i], 10*time.Millisecond); err != nil {
-			return false, fmt.Errorf("cluster: programming %s: %w", n.name, err)
+		if err := n.writeCap(m.caps[i]); err != nil {
+			return fmt.Errorf("cluster: programming %s: %w", n.name, err)
 		}
-		n.capTrace.Add(end, caps[i])
+		n.capTrace.Add(now+Epoch, m.caps[i])
 	}
+	return nil
+}
 
-	// 2. Advance every node one epoch, sharded across the pool (engines
-	// are self-contained, so distinct nodes advance concurrently without
-	// observable effect — see shard.go). A crashed node is frozen in
-	// place — it burns no virtual time and produces no reports, which is
-	// exactly what the watchdog must detect from the outside. A slowed
-	// node gets its frequency ceiling applied before it steps. The crash
-	// and ceiling checks are pure window lookups on the node's own plan,
-	// safe inside the parallel section.
-	now := m.elapsed
-	err := m.pool.run(len(m.nodes), func(i int) error {
-		n := m.nodes[i]
-		if n.eng.Done() {
-			return nil
-		}
-		if np := m.nodeFaults(n); np != nil {
-			if np.Crashed(now) {
-				return nil
-			}
-			if frac := np.FreqCeilingFrac(now); frac < 1 {
-				n.eng.SetFreqCeiling(frac * n.eng.MaxFreqMHz())
-			}
-		}
-		if _, err := n.eng.Advance(Epoch); err != nil {
-			return fmt.Errorf("cluster: advancing %s: %w", n.name, err)
-		}
-		return nil
-	})
-	if err != nil {
-		return false, err
-	}
-	m.elapsed += Epoch
-	m.epoch++
+// reboot leaves a direct node's register as it was: the manager
+// reprograms every node each epoch anyway.
+func (m *Manager) reboot(*Node) error { return nil }
 
-	// 3. Collect feedback, run the watchdog, and compute the job
-	// progress metrics over healthy nodes only — a fenced node's frozen
-	// last rate must not drag the job minimum to zero forever.
-	min, mean, alive := 1.0, 0.0, 0
-	for _, n := range m.nodes {
-		m.refresh(n)
-		m.watchdog(n)
-		if n.eng.Done() || n.failed {
+// feedback reads every node's monitor, runs the watchdog on "sample
+// count moved", and counts the healthy nodes' progress — a fenced
+// node's frozen last rate must not drag the job minimum to zero forever.
+func (m *Manager) feedback(_ float64, _ time.Duration, norms []float64) ([]float64, error) {
+	for i, n := range m.nodes {
+		v := &m.views[i]
+		v.observe(n.observedRate())
+		count := len(n.eng.Monitor().Samples())
+		v.fence.observe(count > m.seen[i], n.eng.Done())
+		m.seen[i] = count
+		if n.eng.Done() || v.fence.fenced {
 			continue
 		}
-		alive++
-		norm := NodeStatus{Rate: n.lastRate, Baseline: n.baseline}.Normalized()
-		if norm < min {
-			min = norm
-		}
-		mean += norm
+		norms = append(norms, NodeStatus{Rate: v.rate, Baseline: v.baseline}.Normalized())
 	}
-	if alive > 0 {
-		res.MinProgress.Add(m.elapsed, min)
-		res.MeanProgress.Add(m.elapsed, mean/float64(alive))
-	}
-	return m.Done(), nil
-}
-
-// Finish finalizes every node engine and returns the job result.
-func (m *Manager) Finish() (*Result, error) {
-	if m.finished {
-		return nil, fmt.Errorf("cluster: Finish called twice")
-	}
-	m.finished = true
-	m.ensureResult()
-	res := m.res
-	res.Elapsed = m.elapsed
-	res.Completed = true
-	for _, n := range m.nodes {
-		r, err := n.eng.Finish()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: finishing %s: %w", n.name, err)
-		}
-		n.result = r
-		res.TotalEnergyJ += r.EnergyJ
-		if !r.Completed {
-			res.Completed = false
-		}
-	}
-	return res, nil
-}
-
-// Run advances the job until every node's workload completes or maxDur
-// of virtual time elapses.
-func (m *Manager) Run(maxDur time.Duration) (*Result, error) {
-	for m.elapsed < maxDur {
-		done, err := m.Step()
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			break
-		}
-	}
-	return m.Finish()
-}
-
-// statuses snapshots per-node feedback for the policy.
-func (m *Manager) statuses() []NodeStatus {
-	out := make([]NodeStatus, len(m.nodes))
-	for i, n := range m.nodes {
-		out[i] = NodeStatus{
-			Name:     n.name,
-			CapW:     n.capW,
-			PowerW:   n.lastPow,
-			Rate:     n.lastRate,
-			Baseline: n.baseline,
-			Done:     n.eng.Done(),
-			Failed:   n.failed,
-		}
-	}
-	return out
-}
-
-// nodeFaults returns the node's fault plan, or nil when no injector is
-// installed or the plan has no entry for this node.
-func (m *Manager) nodeFaults(n *Node) *fault.Node {
-	if m.faults == nil {
-		return nil
-	}
-	return m.faults.Node(n.name)
-}
-
-// watchdog fences a node whose monitor sample count has not moved for
-// FailureEpochs consecutive epochs. A fenced node is un-fenced only
-// after a clean probation: samples flowing for ProbationEpochs
-// consecutive epochs. One fresh window is not enough — a node rebooting
-// in a crash loop emits a burst of reports each time, and handing its
-// budget share back on every burst would whipsaw the healthy nodes'
-// caps. Done nodes are never fenced — a finished stream is silent by
-// design.
-func (m *Manager) watchdog(n *Node) {
-	count := len(n.eng.Monitor().Samples())
-	fresh := count > n.lastSamples
-	n.lastSamples = count
-	if n.eng.Done() {
-		n.failed = false
-		n.stagnantEpochs = 0
-		n.freshEpochs = 0
-		return
-	}
-	if !n.failed {
-		if fresh {
-			n.stagnantEpochs = 0
-			return
-		}
-		n.stagnantEpochs++
-		if n.stagnantEpochs >= m.FailureEpochs {
-			n.failed = true
-			n.freshEpochs = 0
-		}
-		return
-	}
-	if !fresh {
-		n.freshEpochs = 0 // probation restarts on any silent epoch
-		return
-	}
-	n.freshEpochs++
-	if n.freshEpochs >= m.ProbationEpochs {
-		n.failed = false
-		n.stagnantEpochs = 0
-		n.freshEpochs = 0
-	}
-}
-
-// refresh pulls the node's latest window sample out of its monitor and
-// maintains the running baseline estimate (the highest smoothed rate
-// seen, i.e. near-uncapped performance).
-func (m *Manager) refresh(n *Node) {
-	samples := n.eng.Monitor().Samples()
-	if len(samples) == 0 {
-		return
-	}
-	last := samples[len(samples)-1]
-	// Smooth single-window aliasing with the previous window.
-	rate := last.Rate
-	if len(samples) >= 2 {
-		rate = (rate + samples[len(samples)-2].Rate) / 2
-	}
-	n.lastRate = rate
-	if rate > n.baseline {
-		n.baseline = rate
-	}
+	return norms, nil
 }
 
 // clampCaps scales the caps down proportionally if they exceed the

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"progresscap/internal/apps"
 	"progresscap/internal/rapl"
 )
 
@@ -27,9 +26,14 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestNewManagerCfgRejectsBadConfig(t *testing.T) {
-	n := newNode(t, "n1", apps.LAMMPS(apps.DefaultRanks, 5), 0, 1)
-	if _, err := NewManagerCfg(Config{QuarantineCapW: -5}, EqualSplit{}, ConstantBudget(100), n); err == nil {
-		t.Fatal("bad config accepted")
+func TestNewLeasedClusterRejectsBadConfig(t *testing.T) {
+	for _, cfg := range []LeasedConfig{
+		{Cluster: Config{QuarantineCapW: -5}, Policy: EqualSplit{}, Budget: ConstantBudget(100)},
+		{Policy: EqualSplit{}, Budget: ConstantBudget(100), LeaseTTL: Epoch / 2},
+		{Budget: ConstantBudget(100)},
+	} {
+		if _, err := NewLeasedCluster(cfg, newLeasedTestNode(t, "n1", 1)); err == nil {
+			t.Errorf("bad config %+v accepted", cfg)
+		}
 	}
 }

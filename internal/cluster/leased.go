@@ -1,14 +1,15 @@
 package cluster
 
-// Partition-tolerant power leasing: the replicated job manager.
+// Partition-tolerant power leasing: the replicated control plane.
 //
-// The plain Manager assumes it is always up and always connected — it
-// writes caps straight into every node's MSR each epoch. This file drops
-// both assumptions. Caps become time-bounded, epoch-fenced leases
-// (internal/lease); the manager is replicated as a primary/standby pair
-// sharing state through the append-only journal (internal/journal); and
-// every node arms a RAPL deadman so an un-renewed lease reverts the
-// hardware to the quarantine-safe cap within one TTL. The resulting
+// The direct Manager assumes it is always up and always connected — it
+// writes caps straight into every node's MSR each epoch. This plane
+// drops both assumptions on the same job skeleton (job.go). Caps become
+// time-bounded, epoch-fenced leases (internal/lease); the manager is
+// replicated as a primary/standby pair sharing state through the
+// append-only journal (internal/journal); and every node arms a RAPL
+// deadman so an un-renewed lease reverts the hardware to the
+// quarantine-safe cap within one TTL. The resulting
 // invariant needs no consensus protocol:
 //
 //	Σ(enforced node caps) ≤ Σ(arbiter charges) ≤ job budget
@@ -27,7 +28,6 @@ import (
 	"math"
 	"time"
 
-	"progresscap/internal/engine"
 	"progresscap/internal/fault"
 	"progresscap/internal/journal"
 	"progresscap/internal/lease"
@@ -55,6 +55,10 @@ const AckTopicPrefix = "lease.ack."
 // errFencedAppend rejects a journal append from a deposed reign.
 var errFencedAppend = errors.New("cluster: journal append fenced (stale manager epoch)")
 
+// inboxDepth bounds each lane of a manager inbox. Overflow sheds per
+// lane, so control never queues behind telemetry.
+const inboxDepth = 256
+
 // LeasedConfig assembles a replicated, lease-based job manager.
 type LeasedConfig struct {
 	// Cluster supplies the quarantine cap, which doubles as the lease
@@ -73,43 +77,9 @@ type LeasedConfig struct {
 	// may go without appends before the standby takes over (default 2).
 	FailoverEpochs int
 
-	// FailureEpochs / ProbationEpochs drive the manager-side telemetry
-	// watchdog, mirroring Manager's semantics (defaults 3 / 3): a node
-	// silent for FailureEpochs stops being granted leases (it decays to
-	// the safe cap on its own); it must then report for ProbationEpochs
-	// consecutive epochs to re-enter the allocation.
-	FailureEpochs   int
-	ProbationEpochs int
-
-	// TelemetryPerEpoch is how many copies of its progress report each
-	// node publishes per epoch (default 1; raise it to flood the
-	// telemetry lane).
-	TelemetryPerEpoch int
-
-	// InboxControlDepth / InboxTelemetryDepth bound the manager inbox
-	// lanes (defaults 256 / 256). Overflow sheds per lane — control
-	// never queues behind telemetry.
-	InboxControlDepth   int
-	InboxTelemetryDepth int
-
-	// NodeWorkers bounds how many node shards advance concurrently each
-	// epoch (0 = GOMAXPROCS, 1 = serial). Purely a wall-clock knob:
-	// results are byte-identical at any setting. Not part of any
-	// scenario hash or run fingerprint.
-	NodeWorkers int
-
 	// Faults supplies partitions, manager kills/pauses, and node plans;
 	// nil injects nothing.
 	Faults *fault.Injector
-
-	// CapWriter, when set, builds each node's cap-write path: every cap
-	// the cluster applies to that node — lease grants, the boot cap,
-	// reboot quarantine — flows through the returned function instead
-	// of the legacy single-retry register write. This is where a
-	// hardened rapl.Actuator plugs in per node (the engine exposes the
-	// device and clock the actuator needs). Nil keeps the legacy path,
-	// byte-identical to clusters before backends existed.
-	CapWriter func(eng *engine.Engine) func(capW float64) error
 }
 
 func (c *LeasedConfig) validate() error {
@@ -127,21 +97,6 @@ func (c *LeasedConfig) validate() error {
 	}
 	if c.FailoverEpochs == 0 {
 		c.FailoverEpochs = 2
-	}
-	if c.FailureEpochs == 0 {
-		c.FailureEpochs = 3
-	}
-	if c.ProbationEpochs == 0 {
-		c.ProbationEpochs = 3
-	}
-	if c.TelemetryPerEpoch == 0 {
-		c.TelemetryPerEpoch = 1
-	}
-	if c.InboxControlDepth == 0 {
-		c.InboxControlDepth = 256
-	}
-	if c.InboxTelemetryDepth == 0 {
-		c.InboxTelemetryDepth = 256
 	}
 	if c.Faults == nil {
 		c.Faults = fault.NewInjector(fault.Plan{})
@@ -195,86 +150,6 @@ func (l *sharedLog) Replay() ([]journal.Record, error) {
 	return recs, nil
 }
 
-// LeasedNode is one compute node under the replicated manager. Its cap
-// is owned by a lease.Holder; actuation re-arms the RAPL deadman, so a
-// node no manager can reach provably reverts to the safe cap.
-type LeasedNode struct {
-	name     string
-	eng      *engine.Engine
-	holder   *lease.Holder
-	lastPow  float64
-	capTrace *trace.Series
-	result   *engine.Result
-	// writeCap applies a cap to this node's package domain; set at
-	// cluster construction (LeasedConfig.CapWriter or the legacy
-	// register write).
-	writeCap func(capW float64) error
-}
-
-// NewLeasedNode wraps an engine. The engine must not run its own policy
-// daemon; the lease holder owns the node's power limit.
-func NewLeasedNode(name string, eng *engine.Engine) *LeasedNode {
-	n := &LeasedNode{
-		name:     name,
-		eng:      eng,
-		capTrace: trace.NewSeries("cluster.lease.cap."+name, "W"),
-	}
-	eng.SetWindowHook(func(ws engine.WindowStats) { n.lastPow = ws.PkgW })
-	return n
-}
-
-// Name returns the node's name.
-func (n *LeasedNode) Name() string { return n.name }
-
-// CapTrace returns the caps actually applied on this node.
-func (n *LeasedNode) CapTrace() *trace.Series { return n.capTrace }
-
-// Result returns the node's engine result (after Finish).
-func (n *LeasedNode) Result() *engine.Result { return n.result }
-
-// Holder returns the node's lease state machine.
-func (n *LeasedNode) Holder() *lease.Holder { return n.holder }
-
-// Engine returns the node's plant.
-func (n *LeasedNode) Engine() *engine.Engine { return n.eng }
-
-// RegisterCapW decodes the cap currently latched in the node's RAPL
-// register (0 = uncapped) — the ground truth the soak oracles check
-// against the ledger and the budget.
-func (n *LeasedNode) RegisterCapW() (float64, error) {
-	return registerCapW(n.eng.Device())
-}
-
-// observedRate mirrors Manager.refresh's two-window smoothing.
-func (n *LeasedNode) observedRate() float64 {
-	samples := n.eng.Monitor().Samples()
-	if len(samples) == 0 {
-		return 0
-	}
-	rate := samples[len(samples)-1].Rate
-	if len(samples) >= 2 {
-		rate = (rate + samples[len(samples)-2].Rate) / 2
-	}
-	return rate
-}
-
-// registerCapW decodes the node's currently latched PL1 (0 = disabled).
-func registerCapW(dev *msr.Device) (float64, error) {
-	raw, err := dev.Read(msr.PkgPowerLimit)
-	if err != nil {
-		return 0, err
-	}
-	unitRaw, err := dev.Read(msr.RaplPowerUnit)
-	if err != nil {
-		return 0, err
-	}
-	pl1, _ := msr.DecodePowerLimits(raw, msr.DecodeUnits(unitRaw))
-	if !pl1.Enabled {
-		return 0, nil
-	}
-	return pl1.Watts, nil
-}
-
 // leasedManager is one replica of the job manager.
 type leasedManager struct {
 	name    string
@@ -291,104 +166,50 @@ type leasedManager struct {
 	// between WAL append and delivery; flushed (stale) on resume.
 	pending []lease.Lease
 
-	// Telemetry watchdog and policy feedback, keyed by node name.
-	heard    map[string]bool
-	done     map[string]bool
-	rate     map[string]float64
-	baseline map[string]float64
-	silent   map[string]int
-	fresh    map[string]int
-	fenced   map[string]bool
-
-	acks uint64
+	// views is the replica's telemetry-fed picture of each node, in node
+	// order: policy feedback and the watchdog.
+	views []nodeView
 }
 
-func newLeasedManager(name string, cfg *LeasedConfig) *leasedManager {
+func newLeasedManager(name string, nodes int) *leasedManager {
 	return &leasedManager{
-		name:     name,
-		inbox:    pubsub.NewLanedQueue(cfg.InboxControlDepth, cfg.InboxTelemetryDepth),
-		heard:    map[string]bool{},
-		done:     map[string]bool{},
-		rate:     map[string]float64{},
-		baseline: map[string]float64{},
-		silent:   map[string]int{},
-		fresh:    map[string]int{},
-		fenced:   map[string]bool{},
+		name:  name,
+		inbox: pubsub.NewLanedQueue(inboxDepth, inboxDepth),
+		views: make([]nodeView, nodes),
 	}
 }
 
-// LeasedResult is the job-level outcome plus the distributed-safety
-// counters the partition experiments assert on.
-type LeasedResult struct {
-	Elapsed      time.Duration
-	Completed    bool
-	TotalEnergyJ float64
-	WorkUnits    float64
-
-	MinProgress  *trace.Series
-	MeanProgress *trace.Series
-	BudgetTrace  *trace.Series
-	// EnforcedTrace is Σ(latched register caps) over the nodes actually
-	// running each epoch — the physically enforceable draw bound.
-	EnforcedTrace *trace.Series
-	// PeakOvershootW is the worst EnforcedTrace excursion above the
-	// budget (0 when the safety invariant held everywhere, which it must).
-	PeakOvershootW float64
-
-	Failovers         int    // standby takeovers
-	GrantsIssued      uint64 // leases journaled and charged
-	FencedGrants      uint64 // grants a node rejected as stale (split-brain blocked)
-	ExpiredOnArrival  uint64 // grants delivered after their own TTL
-	UndeliveredGrants uint64 // grants eaten by a partition
-	ExpiredReverts    uint64 // node deadman trips (revert to safe cap)
-
-	Nodes []*LeasedNode
-}
-
-// LeasedCluster drives a node set under the replicated leasing manager.
+// LeasedCluster is the leasing control plane: a replicated manager pair
+// grants every node's cap as a lease.
 type LeasedCluster struct {
+	job
 	cfg      LeasedConfig
-	nodes    []*LeasedNode
-	byName   map[string]*LeasedNode
+	names    []string       // node names, in node order
+	index    map[string]int // node name → position in nodes
 	managers []*leasedManager
 	log      *sharedLog
-	pool     shardPool
-
-	elapsed  time.Duration
-	res      *LeasedResult
-	finished bool
 }
 
 // NewLeasedCluster assembles the replicated manager pair over the nodes.
 // Every node is booted at the safe cap with an armed deadman before the
 // first epoch, so the cluster is never uncapped: overshoot is zero by
 // construction, not by luck.
-func NewLeasedCluster(cfg LeasedConfig, nodes ...*LeasedNode) (*LeasedCluster, error) {
+func NewLeasedCluster(cfg LeasedConfig, nodes ...*Node) (*LeasedCluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("cluster: no nodes")
+	j, err := newJob(cfg.Budget, "cluster.lease.", nodes)
+	if err != nil {
+		return nil, err
 	}
-	lc := &LeasedCluster{cfg: cfg, nodes: nodes, byName: map[string]*LeasedNode{}, log: newSharedLog()}
-	lc.pool.workers = cfg.NodeWorkers
+	j.faults = cfg.Faults
+	j.res.Lease = &LeaseStats{EnforcedTrace: trace.NewSeries("cluster.lease.enforced", "W")}
+	lc := &LeasedCluster{job: j, cfg: cfg, index: map[string]int{}, log: newSharedLog()}
+	lc.plane = lc
 	safeCap := cfg.Cluster.QuarantineCapW
-	names := make([]string, 0, len(nodes))
-	for _, n := range nodes {
-		if lc.byName[n.name] != nil || n.name == "" {
-			return nil, fmt.Errorf("cluster: empty or duplicate node name %q", n.name)
-		}
-		lc.byName[n.name] = n
-		names = append(names, n.name)
-
-		node := n
-		if cfg.CapWriter != nil {
-			n.writeCap = cfg.CapWriter(n.eng)
-		} else {
-			n.writeCap = func(capW float64) error {
-				return rapl.WriteLimitRetry(node.eng.Device(), capW, 10*time.Millisecond)
-			}
-		}
+	for i, n := range nodes {
+		lc.index[n.name] = i
+		lc.names = append(lc.names, n.name)
 		h, err := lease.NewHolder(n.name, safeCap, n.writeCap)
 		if err != nil {
 			return nil, err
@@ -402,11 +223,11 @@ func NewLeasedCluster(cfg LeasedConfig, nodes ...*LeasedNode) (*LeasedCluster, e
 			return nil, fmt.Errorf("cluster: boot cap on %s: %w", n.name, err)
 		}
 	}
-	m0 := newLeasedManager(PrimaryManager, &cfg)
-	m1 := newLeasedManager(StandbyManager, &cfg)
+	m0 := newLeasedManager(PrimaryManager, len(nodes))
+	m1 := newLeasedManager(StandbyManager, len(nodes))
 	m0.primary = true
 	m0.epoch = 1
-	arb, err := lease.NewArbiter(cfg.Budget(0), safeCap, m0.epoch, names...)
+	arb, err := lease.NewArbiter(cfg.Budget(0), safeCap, m0.epoch, lc.names...)
 	if err != nil {
 		return nil, err
 	}
@@ -415,33 +236,12 @@ func NewLeasedCluster(cfg LeasedConfig, nodes ...*LeasedNode) (*LeasedCluster, e
 	return lc, nil
 }
 
-func (lc *LeasedCluster) ensureResult() {
-	if lc.res == nil {
-		lc.res = &LeasedResult{
-			MinProgress:   trace.NewSeries("cluster.lease.progress.min", "normalized"),
-			MeanProgress:  trace.NewSeries("cluster.lease.progress.mean", "normalized"),
-			BudgetTrace:   trace.NewSeries("cluster.lease.budget", "W"),
-			EnforcedTrace: trace.NewSeries("cluster.lease.enforced", "W"),
-			Nodes:         lc.nodes,
-		}
-	}
-}
-
-// Elapsed returns the virtual time the cluster has advanced through.
-func (lc *LeasedCluster) Elapsed() time.Duration { return lc.elapsed }
-
-// Nodes returns the cluster's nodes, in construction order.
-func (lc *LeasedCluster) Nodes() []*LeasedNode { return lc.nodes }
-
 // LeaseTTL returns the configured grant TTL (also every node's deadman
 // TTL), so oracles can bound the revert-to-safe-cap window.
 func (lc *LeasedCluster) LeaseTTL() time.Duration { return lc.cfg.LeaseTTL }
 
 // SafeCapW returns the quarantine cap nodes revert to.
 func (lc *LeasedCluster) SafeCapW() float64 { return lc.cfg.Cluster.QuarantineCapW }
-
-// ShardStats returns the node-advancement shard pool's counters.
-func (lc *LeasedCluster) ShardStats() ShardStats { return lc.pool.stats }
 
 // ReplayGrants replays the shared manager journal and returns every
 // journaled grant plus the highest fencing epoch and sequence stamped
@@ -455,16 +255,6 @@ func (lc *LeasedCluster) ReplayGrants() ([]lease.Lease, uint64, uint64, error) {
 	}
 	grants, maxEpoch, maxSeq := lease.FromRecords(recs)
 	return grants, maxEpoch, maxSeq, nil
-}
-
-// Done reports whether every node's workload has completed.
-func (lc *LeasedCluster) Done() bool {
-	for _, n := range lc.nodes {
-		if !n.eng.Done() {
-			return false
-		}
-	}
-	return true
 }
 
 // ManagerInboxStats returns one manager's per-lane inbox counters.
@@ -488,10 +278,10 @@ func (lc *LeasedCluster) EnforcedCapW(now time.Duration) (float64, error) {
 		if n.eng.Done() {
 			continue
 		}
-		if np := lc.cfg.Faults.Node(n.name); np != nil && np.Crashed(now) {
+		if np := lc.nodeFaults(n); np != nil && np.Crashed(now) {
 			continue
 		}
-		capW, err := registerCapW(n.eng.Device())
+		capW, err := n.RegisterCapW()
 		if err != nil {
 			return 0, err
 		}
@@ -505,21 +295,9 @@ func (lc *LeasedCluster) EnforcedCapW(now time.Duration) (float64, error) {
 	return sum, nil
 }
 
-// Step advances the cluster one epoch: managers act on last epoch's
-// telemetry, nodes advance and report, metrics are collected. It reports
-// whether the job is done.
-func (lc *LeasedCluster) Step() (bool, error) {
-	if lc.finished {
-		return true, fmt.Errorf("cluster: Step after Finish")
-	}
-	lc.ensureResult()
-	now := lc.elapsed
-	budgetW := lc.cfg.Budget(now)
-	// Stamped at the epoch's end instant, like every other per-epoch
-	// series (caps, enforced sum, progress) — one timestamp per epoch.
-	lc.res.BudgetTrace.Add(now+Epoch, budgetW)
-
-	// 1. Manager phase. Fixed replica order keeps runs deterministic.
+// control is the manager phase: each live replica acts on last epoch's
+// telemetry, in fixed replica order so runs stay deterministic.
+func (lc *LeasedCluster) control(budgetW float64, now time.Duration) error {
 	for _, m := range lc.managers {
 		fm := lc.cfg.Faults.Manager(m.name)
 		if fm != nil && (fm.Dead(now) || fm.Paused(now)) {
@@ -540,63 +318,42 @@ func (lc *LeasedCluster) Step() (bool, error) {
 			m.arb = nil
 		}
 		if m.primary {
-			lc.drainInbox(m, now)
-			lc.watchdog(m)
+			lc.listen(m, now)
 			if err := lc.grantCycle(m, budgetW, now); err != nil {
-				return false, err
+				return err
 			}
 		} else {
 			lc.standbyWatch(m, budgetW, now)
 		}
 		m.lastAppends = lc.log.Appends()
 	}
+	return nil
+}
 
-	// 2. Node phase: advance engines under node fault plans, sharded
-	// across the pool (see shard.go). Everything inside the closure is
-	// node-local: the crash/ceiling checks are pure window lookups on
-	// the node's own plan, and the reboot cap writes the node's own
-	// simulated register.
-	err := lc.pool.run(len(lc.nodes), func(i int) error {
-		n := lc.nodes[i]
-		if n.eng.Done() {
-			return nil
-		}
-		if np := lc.cfg.Faults.Node(n.name); np != nil {
-			if np.Crashed(now) {
-				if !np.Crashed(now + Epoch) {
-					// The node reboots within this epoch. Its register comes
-					// back at the boot (safe) cap with a freshly armed
-					// deadman, exactly like initial construction — the
-					// pre-crash latched cap did not survive the crash, and
-					// its engine clock (frozen for the whole window) must not
-					// keep enforcing a cap whose lease charge expired.
-					if err := n.writeCap(lc.cfg.Cluster.QuarantineCapW); err != nil {
-						return fmt.Errorf("cluster: reboot cap on %s: %w", n.name, err)
-					}
-				}
-				return nil
-			}
-			if frac := np.FreqCeilingFrac(now); frac < 1 {
-				n.eng.SetFreqCeiling(frac * n.eng.MaxFreqMHz())
-			}
-		}
-		if _, err := n.eng.Advance(Epoch); err != nil {
-			return fmt.Errorf("cluster: advancing %s: %w", n.name, err)
-		}
-		return nil
-	})
-	if err != nil {
-		return false, err
+// reboot brings a node whose crash window ends within the epoch back at
+// the boot (safe) cap with a freshly armed deadman, exactly like initial
+// construction — the pre-crash latched cap did not survive the crash,
+// and its engine clock (frozen for the whole window) must not keep
+// enforcing a cap whose lease charge expired.
+func (lc *LeasedCluster) reboot(n *Node) error {
+	if err := n.writeCap(lc.cfg.Cluster.QuarantineCapW); err != nil {
+		return fmt.Errorf("cluster: reboot cap on %s: %w", n.name, err)
 	}
-	lc.elapsed += Epoch
-	end := lc.elapsed
+	return nil
+}
 
-	// 3. Telemetry phase: running nodes report progress to both replicas,
-	// subject to the partition schedule. Crashed nodes are silent — that
-	// silence is the watchdog's signal.
+// feedback is the telemetry phase — running nodes report progress to
+// both replicas, subject to the partition schedule; crashed nodes are
+// silent, and that silence is the watchdog's signal — followed by the
+// safety and progress metrics, read from the hardware registers, not
+// the ledger.
+func (lc *LeasedCluster) feedback(budgetW float64, end time.Duration, norms []float64) ([]float64, error) {
 	links := lc.cfg.Faults.Links()
+	ls := lc.res.Lease
+	ls.ExpiredReverts = 0
 	for _, n := range lc.nodes {
-		if np := lc.cfg.Faults.Node(n.name); np != nil && np.Crashed(end) {
+		ls.ExpiredReverts += n.eng.Controller().DeadmanTrips()
+		if np := lc.nodeFaults(n); np != nil && np.Crashed(end) {
 			continue
 		}
 		done := byte('0')
@@ -606,58 +363,43 @@ func (lc *LeasedCluster) Step() (bool, error) {
 		payload := []byte(fmt.Sprintf("%.9g %c", n.observedRate(), done))
 		msg := pubsub.Message{Topic: TelemetryTopicPrefix + n.name, Payload: payload}
 		for _, m := range lc.managers {
-			if links.Cut(n.name, m.name, end) {
-				continue
-			}
-			for i := 0; i < lc.cfg.TelemetryPerEpoch; i++ {
+			if !links.Cut(n.name, m.name, end) {
 				m.inbox.Push(msg, end)
 			}
 		}
 		n.capTrace.Add(end, n.holder.CapAt(end))
 	}
 
-	// 4. Safety and progress metrics — the experimenter's view, read from
-	// the hardware registers, not the ledger.
 	enforced, err := lc.EnforcedCapW(end)
 	if err != nil {
-		return false, err
+		return norms, err
 	}
-	lc.res.EnforcedTrace.Add(end, enforced)
-	if over := enforced - budgetW; over > lc.res.PeakOvershootW {
-		lc.res.PeakOvershootW = over
+	ls.EnforcedTrace.Add(end, enforced)
+	if over := enforced - budgetW; over > ls.PeakOvershootW {
+		ls.PeakOvershootW = over
 	}
-	min, mean, alive := 1.0, 0.0, 0
-	for _, n := range lc.nodes {
+	for i, n := range lc.nodes {
 		if n.eng.Done() {
 			continue
 		}
-		if np := lc.cfg.Faults.Node(n.name); np != nil && np.Crashed(end) {
+		if np := lc.nodeFaults(n); np != nil && np.Crashed(end) {
 			continue
 		}
-		alive++
 		rate := n.observedRate()
 		base := rate
 		for _, m := range lc.managers {
-			if b := m.baseline[n.name]; b > base {
+			if b := m.views[i].baseline; b > base {
 				base = b
 			}
 		}
-		norm := NodeStatus{Rate: rate, Baseline: base}.Normalized()
-		if norm < min {
-			min = norm
-		}
-		mean += norm
+		norms = append(norms, NodeStatus{Rate: rate, Baseline: base}.Normalized())
 	}
-	if alive > 0 {
-		lc.res.MinProgress.Add(end, min)
-		lc.res.MeanProgress.Add(end, mean/float64(alive))
-	}
-	return lc.Done(), nil
+	return norms, nil
 }
 
 // grantCycle is one primary epoch: divide the budget, journal each
-// grant (write-ahead), then deliver. The caller has already drained the
-// inbox and run the watchdog for this epoch.
+// grant (write-ahead), then deliver. The caller has already listened to
+// this epoch's inbox.
 func (lc *LeasedCluster) grantCycle(m *leasedManager, budgetW float64, now time.Duration) error {
 	safeCap := lc.cfg.Cluster.QuarantineCapW
 	m.arb.SetBudget(budgetW)
@@ -671,13 +413,7 @@ func (lc *LeasedCluster) grantCycle(m *leasedManager, budgetW float64, now time.
 	}
 	statuses := make([]NodeStatus, len(lc.nodes))
 	for i, n := range lc.nodes {
-		statuses[i] = NodeStatus{
-			Name:     n.name,
-			Rate:     m.rate[n.name],
-			Baseline: m.baseline[n.name],
-			Done:     m.done[n.name],
-			Failed:   m.fenced[n.name],
-		}
+		statuses[i] = m.views[i].status(n.name)
 	}
 	shares := lc.cfg.Policy.Divide(divisible, statuses)
 	if len(shares) != len(lc.nodes) {
@@ -718,7 +454,7 @@ func (lc *LeasedCluster) grantCycle(m *leasedManager, budgetW float64, now time.
 			}
 			return err
 		}
-		lc.res.GrantsIssued++
+		lc.res.Lease.GrantsIssued++
 		grants = append(grants, l)
 	}
 	if len(grants) == 0 {
@@ -746,19 +482,17 @@ func (lc *LeasedCluster) grantCycle(m *leasedManager, budgetW float64, now time.
 // network and collects the fencing verdicts.
 func (lc *LeasedCluster) deliver(m *leasedManager, grants []lease.Lease, now time.Duration) {
 	links := lc.cfg.Faults.Links()
+	ls := lc.res.Lease
 	for _, g := range grants {
-		n := lc.byName[g.Node]
-		if n == nil {
-			continue
-		}
+		n := lc.nodes[lc.index[g.Node]]
 		// A crashed node is unreachable: the grant stays charged in the
 		// journal but nothing latches it, same as a partition eating it.
-		if np := lc.cfg.Faults.Node(g.Node); np != nil && np.Crashed(now) {
-			lc.res.UndeliveredGrants++
+		if np := lc.nodeFaults(n); np != nil && np.Crashed(now) {
+			ls.UndeliveredGrants++
 			continue
 		}
 		if links.Cut(m.name, g.Node, now) {
-			lc.res.UndeliveredGrants++
+			ls.UndeliveredGrants++
 			continue
 		}
 		err := n.holder.Offer(g, now)
@@ -768,75 +502,49 @@ func (lc *LeasedCluster) deliver(m *leasedManager, grants []lease.Lease, now tim
 				m.inbox.Push(pubsub.Message{Topic: AckTopicPrefix + g.Node}, now)
 			}
 		case errors.Is(err, lease.ErrFenced):
-			lc.res.FencedGrants++
+			ls.FencedGrants++
 		case errors.Is(err, lease.ErrExpired):
-			lc.res.ExpiredOnArrival++
+			ls.ExpiredOnArrival++
 		}
 	}
 }
 
-// drainInbox consumes everything queued since the replica last looked,
-// control lane first.
-func (lc *LeasedCluster) drainInbox(m *leasedManager, now time.Duration) {
-	for n := range m.heard {
-		delete(m.heard, n)
+// listen consumes everything queued since the replica last looked,
+// control lane first, then runs the watchdog on "telemetry heard":
+// silence fences, sustained reporting un-fences.
+func (lc *LeasedCluster) listen(m *leasedManager, now time.Duration) {
+	for i := range m.views {
+		m.views[i].heard = false
 	}
 	for {
 		msg, lane, ok := m.inbox.Pop(now)
 		if !ok {
-			return
+			break
 		}
 		if lane == pubsub.LaneControl {
-			m.acks++
-			continue
+			continue // an ack: the inbox counts it
 		}
-		node := msg.Topic[len(TelemetryTopicPrefix):]
+		i, known := lc.index[msg.Topic[len(TelemetryTopicPrefix):]]
 		var rate float64
 		var done byte
-		if _, err := fmt.Sscanf(string(msg.Payload), "%g %c", &rate, &done); err != nil {
+		if _, err := fmt.Sscanf(string(msg.Payload), "%g %c", &rate, &done); !known || err != nil {
 			continue
 		}
-		m.heard[node] = true
-		m.done[node] = done == '1'
-		m.rate[node] = rate
-		if rate > m.baseline[node] {
-			m.baseline[node] = rate
-		}
+		v := &m.views[i]
+		v.heard, v.done = true, done == '1'
+		v.observe(rate)
+	}
+	for i := range m.views {
+		v := &m.views[i]
+		v.fence.observe(v.heard, v.done)
 	}
 }
 
-// watchdog mirrors Manager's fencing/probation semantics over the
-// telemetry stream: silence fences, sustained reporting un-fences.
-func (lc *LeasedCluster) watchdog(m *leasedManager) {
-	for _, n := range lc.nodes {
-		name := n.name
-		if m.done[name] {
-			m.fenced[name] = false
-			m.silent[name], m.fresh[name] = 0, 0
-			continue
-		}
-		if m.heard[name] {
-			m.silent[name] = 0
-			m.fresh[name]++
-		} else {
-			m.silent[name]++
-			m.fresh[name] = 0
-		}
-		if !m.fenced[name] && m.silent[name] >= lc.cfg.FailureEpochs {
-			m.fenced[name] = true
-		}
-		if m.fenced[name] && m.fresh[name] >= lc.cfg.ProbationEpochs {
-			m.fenced[name] = false
-		}
-	}
-}
-
-// standbyWatch is one standby epoch: drain the inbox (keeping telemetry
-// state warm) and take over when the shared journal has gone still for
+// standbyWatch is one standby epoch: listen (keeping telemetry state
+// warm) and take over when the shared journal has gone still for
 // FailoverEpochs.
 func (lc *LeasedCluster) standbyWatch(m *leasedManager, budgetW float64, now time.Duration) {
-	lc.drainInbox(m, now)
-	lc.watchdog(m)
+	lc.listen(m, now)
 	if lc.log.Appends() != m.lastAppends {
 		m.staleEpochs = 0
 		return
@@ -853,11 +561,7 @@ func (lc *LeasedCluster) standbyWatch(m *leasedManager, budgetW float64, now tim
 		return // unreadable log: stay standby, the deadmen keep the nodes safe
 	}
 	grants, maxEpoch, maxSeq := lease.FromRecords(recs)
-	names := make([]string, len(lc.nodes))
-	for i, n := range lc.nodes {
-		names[i] = n.name
-	}
-	arb, err := lease.NewArbiter(budgetW, lc.cfg.Cluster.QuarantineCapW, maxEpoch+1, names...)
+	arb, err := lease.NewArbiter(budgetW, lc.cfg.Cluster.QuarantineCapW, maxEpoch+1, lc.names...)
 	if err != nil {
 		return
 	}
@@ -869,48 +573,8 @@ func (lc *LeasedCluster) standbyWatch(m *leasedManager, budgetW float64, now tim
 	}
 	m.primary = true
 	m.staleEpochs = 0
-	lc.res.Failovers++
+	lc.res.Lease.Failovers++
 	// Grant immediately: the takeover epoch should also be the first
 	// renewal epoch, shrinking the window in which leases lapse.
 	_ = lc.grantCycle(m, budgetW, now)
-}
-
-// Finish finalizes every node engine and returns the job result.
-func (lc *LeasedCluster) Finish() (*LeasedResult, error) {
-	if lc.finished {
-		return nil, fmt.Errorf("cluster: Finish called twice")
-	}
-	lc.finished = true
-	lc.ensureResult()
-	res := lc.res
-	res.Elapsed = lc.elapsed
-	res.Completed = true
-	for _, n := range lc.nodes {
-		res.ExpiredReverts += n.eng.Controller().DeadmanTrips()
-		r, err := n.eng.Finish()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: finishing %s: %w", n.name, err)
-		}
-		n.result = r
-		res.TotalEnergyJ += r.EnergyJ
-		res.WorkUnits += r.WorkUnits
-		if !r.Completed {
-			res.Completed = false
-		}
-	}
-	return res, nil
-}
-
-// Run advances the job until completion or maxDur of virtual time.
-func (lc *LeasedCluster) Run(maxDur time.Duration) (*LeasedResult, error) {
-	for lc.elapsed < maxDur {
-		done, err := lc.Step()
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			break
-		}
-	}
-	return lc.Finish()
 }

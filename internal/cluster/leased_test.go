@@ -7,7 +7,6 @@ import (
 	"progresscap/internal/apps"
 	"progresscap/internal/engine"
 	"progresscap/internal/fault"
-	"progresscap/internal/rapl"
 )
 
 const (
@@ -18,7 +17,7 @@ const (
 // newLeasedTestNode builds a leased node on a coarse 1 ms tick (the
 // control period): ~10x faster than the default plant, precise enough
 // for epoch-level assertions.
-func newLeasedTestNode(t *testing.T, name string, seed uint64) *LeasedNode {
+func newLeasedTestNode(t *testing.T, name string, seed uint64) *Node {
 	t.Helper()
 	cfg := engine.DefaultConfig()
 	cfg.Seed = seed
@@ -27,7 +26,7 @@ func newLeasedTestNode(t *testing.T, name string, seed uint64) *LeasedNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewLeasedNode(name, e)
+	return NewNode(name, e)
 }
 
 func newLeasedTestCluster(t *testing.T, plan fault.Plan) *LeasedCluster {
@@ -57,13 +56,13 @@ func stepEpochs(t *testing.T, lc *LeasedCluster, n int) {
 	}
 }
 
-func assertInvariant(t *testing.T, res *LeasedResult) {
+func assertInvariant(t *testing.T, res *Result) {
 	t.Helper()
-	if res.PeakOvershootW > 0 {
-		t.Errorf("enforced caps exceeded the budget by %.3f W", res.PeakOvershootW)
+	if res.Lease.PeakOvershootW > 0 {
+		t.Errorf("enforced caps exceeded the budget by %.3f W", res.Lease.PeakOvershootW)
 	}
-	for i := 0; i < res.EnforcedTrace.Len(); i++ {
-		p := res.EnforcedTrace.At(i)
+	for i := 0; i < res.Lease.EnforcedTrace.Len(); i++ {
+		p := res.Lease.EnforcedTrace.At(i)
 		if p.V > leasedBudgetW {
 			t.Fatalf("enforced %.3f W > budget %.0f W at %v", p.V, leasedBudgetW, p.T)
 		}
@@ -86,12 +85,12 @@ func TestLeasedClusterHealthyRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertInvariant(t, res)
-	if res.Failovers != 0 || res.FencedGrants != 0 || res.ExpiredReverts != 0 {
+	if res.Lease.Failovers != 0 || res.Lease.FencedGrants != 0 || res.Lease.ExpiredReverts != 0 {
 		t.Errorf("healthy run saw failovers=%d fenced=%d reverts=%d",
-			res.Failovers, res.FencedGrants, res.ExpiredReverts)
+			res.Lease.Failovers, res.Lease.FencedGrants, res.Lease.ExpiredReverts)
 	}
-	if res.GrantsIssued == 0 || res.UndeliveredGrants != 0 {
-		t.Errorf("grants issued=%d undelivered=%d", res.GrantsIssued, res.UndeliveredGrants)
+	if res.Lease.GrantsIssued == 0 || res.Lease.UndeliveredGrants != 0 {
+		t.Errorf("grants issued=%d undelivered=%d", res.Lease.GrantsIssued, res.Lease.UndeliveredGrants)
 	}
 	// Acks ride the control lane of the manager inbox.
 	ctl, tel, ok := lc.ManagerInboxStats(PrimaryManager)
@@ -120,14 +119,14 @@ func TestLeasedClusterFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertInvariant(t, res)
-	if res.Failovers != 1 {
-		t.Fatalf("failovers = %d, want 1", res.Failovers)
+	if res.Lease.Failovers != 1 {
+		t.Fatalf("failovers = %d, want 1", res.Lease.Failovers)
 	}
 	// The gap between the primary's death and the standby's first grants
 	// is at most FailoverEpochs+1 epochs < LeaseTTL, so leases never
 	// lapse and the deadmen stay quiet.
-	if res.ExpiredReverts != 0 {
-		t.Errorf("deadman tripped %d times across a fast failover", res.ExpiredReverts)
+	if res.Lease.ExpiredReverts != 0 {
+		t.Errorf("deadman tripped %d times across a fast failover", res.Lease.ExpiredReverts)
 	}
 }
 
@@ -146,8 +145,8 @@ func TestLeasedClusterPartitionRevertsWithinTTL(t *testing.T) {
 	// Run to just past partition start + TTL (renewal at 5 s is the last
 	// delivered; the lease lapses by 8 s).
 	stepEpochs(t, lc, 9)
-	n1 := lc.byName["n1"]
-	capW, err := registerCapW(n1.eng.Device())
+	n1 := lc.nodes[lc.index["n1"]]
+	capW, err := n1.RegisterCapW()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +168,57 @@ func TestLeasedClusterPartitionRevertsWithinTTL(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertInvariant(t, res)
-	if res.UndeliveredGrants == 0 {
+	if res.Lease.UndeliveredGrants == 0 {
 		t.Error("partition ate no grants — schedule did not bite")
 	}
-	if res.Failovers != 0 {
-		t.Errorf("node partition triggered %d manager failovers", res.Failovers)
+	if res.Lease.Failovers != 0 {
+		t.Errorf("node partition triggered %d manager failovers", res.Lease.Failovers)
+	}
+}
+
+// TestLeasedClusterPartitionFenceTimeline pins the replica watchdog's
+// timeline on the partition scenario, epoch by epoch from n1's lease
+// holder: the last grant n1 accepts before the 6 s cut, its re-admission
+// after the 14 s heal (three epochs of probation telemetry), and the
+// first grant above the safe cap once the other nodes' older, larger
+// leases have been renewed down to their shares.
+func TestLeasedClusterPartitionFenceTimeline(t *testing.T) {
+	lc := newLeasedTestCluster(t, fault.Plan{
+		Partitions: []fault.Partition{{
+			Window: fault.Window{From: 6 * time.Second, To: 14 * time.Second},
+			A:      []string{"n1"},
+			B:      []string{PrimaryManager, StandbyManager},
+		}},
+	})
+	n1 := lc.Nodes()[1]
+	lastBeforeCut, readmitted, aboveSafe := time.Duration(-1), time.Duration(-1), time.Duration(-1)
+	var accepted uint64
+	for e := 0; e < 24; e++ {
+		now := lc.Elapsed() // grants of this epoch are stamped at its start
+		stepEpochs(t, lc, 1)
+		c := n1.Holder().Counters()
+		if c.Accepted == accepted {
+			continue
+		}
+		accepted = c.Accepted
+		switch {
+		case now < 6*time.Second:
+			lastBeforeCut = now
+		case readmitted < 0:
+			readmitted = now
+		}
+		if now >= 14*time.Second && aboveSafe < 0 && n1.Holder().CapAt(lc.Elapsed()) > leasedSafeCapW {
+			aboveSafe = now
+		}
+	}
+	if lastBeforeCut != 5*time.Second {
+		t.Errorf("last grant accepted before the cut at %v, want 5s", lastBeforeCut)
+	}
+	if readmitted != 16*time.Second {
+		t.Errorf("first grant accepted after the heal at %v, want 16s", readmitted)
+	}
+	if aboveSafe != 18*time.Second {
+		t.Errorf("first grant above the safe cap after the heal at %v, want 18s", aboveSafe)
 	}
 }
 
@@ -194,10 +239,10 @@ func TestLeasedClusterDeposedPrimaryIsFenced(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertInvariant(t, res)
-	if res.Failovers != 1 {
-		t.Fatalf("failovers = %d, want 1", res.Failovers)
+	if res.Lease.Failovers != 1 {
+		t.Fatalf("failovers = %d, want 1", res.Lease.Failovers)
 	}
-	if res.FencedGrants == 0 && res.ExpiredOnArrival == 0 {
+	if res.Lease.FencedGrants == 0 && res.Lease.ExpiredOnArrival == 0 {
 		t.Error("deposed primary's stale flush was not rejected anywhere")
 	}
 	// Exactly one primary at the end — the resumed one stays demoted.
@@ -236,49 +281,7 @@ func TestLeasedClusterBothManagersDeadDecaysToSafeCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertInvariant(t, res)
-	if res.ExpiredReverts == 0 {
+	if res.Lease.ExpiredReverts == 0 {
 		t.Error("no deadman trips despite total manager loss")
-	}
-}
-
-// TestLeasedClusterCapWriterHook pins the per-node cap-write hook: when
-// LeasedConfig.CapWriter is set, every cap the cluster applies — boot
-// cap and per-epoch lease grants — flows through it, and the run's
-// outcome matches the default register path (the hook here delegates to
-// the same write, so this is pure plumbing, not a behavior change).
-func TestLeasedClusterCapWriterHook(t *testing.T) {
-	writes := map[*engine.Engine]int{}
-	cfg := LeasedConfig{
-		Policy: EqualSplit{},
-		Budget: ConstantBudget(leasedBudgetW),
-		Faults: fault.NewInjector(fault.Plan{}),
-		CapWriter: func(eng *engine.Engine) func(float64) error {
-			return func(capW float64) error {
-				writes[eng]++
-				return rapl.WriteLimitRetry(eng.Device(), capW, 10*time.Millisecond)
-			}
-		},
-	}
-	lc, err := NewLeasedCluster(cfg,
-		newLeasedTestNode(t, "n0", 1),
-		newLeasedTestNode(t, "n1", 2),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stepEpochs(t, lc, 6)
-	res, err := lc.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertInvariant(t, res)
-	if len(writes) != 2 {
-		t.Fatalf("cap writer built for %d nodes, want 2", len(writes))
-	}
-	for eng, n := range writes {
-		// Boot cap plus at least one granted cap per node.
-		if n < 2 {
-			t.Errorf("node engine %p saw %d hook writes, want >= 2", eng, n)
-		}
 	}
 }

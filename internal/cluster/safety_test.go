@@ -76,7 +76,7 @@ func TestLeasedBudgetSafetyProperty(t *testing.T) {
 			rng := root.Split(uint64(s + 1))
 			plan := randomChaosPlan(rng, nodeNames, horizon)
 
-			var nodes []*LeasedNode
+			var nodes []*Node
 			for i, name := range nodeNames {
 				cfg := engine.DefaultConfig()
 				cfg.Seed = uint64(s*10 + i + 1)
@@ -85,7 +85,7 @@ func TestLeasedBudgetSafetyProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				nodes = append(nodes, NewLeasedNode(name, e))
+				nodes = append(nodes, NewNode(name, e))
 			}
 			lc, err := NewLeasedCluster(LeasedConfig{
 				Policy: EqualSplit{},
@@ -133,7 +133,7 @@ func TestLeasedBudgetSafetyProperty(t *testing.T) {
 					if !saw || now < granted+lc.cfg.LeaseTTL+Epoch {
 						continue
 					}
-					capW, err := registerCapW(n.eng.Device())
+					capW, err := n.RegisterCapW()
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -147,8 +147,8 @@ func TestLeasedBudgetSafetyProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.PeakOvershootW > 0 {
-				t.Fatalf("schedule %d: peak overshoot %.3f W", s, res.PeakOvershootW)
+			if res.Lease.PeakOvershootW > 0 {
+				t.Fatalf("schedule %d: peak overshoot %.3f W", s, res.Lease.PeakOvershootW)
 			}
 		})
 	}

@@ -7,15 +7,10 @@ package cluster
 // its "task size" — after the calibration epochs the manager has seen
 // every node run uncapped, so PowerW is a true demand signal — and
 // both reserve a safety floor per node before concentrating anything,
-// so no node is starved below quarantine power.
-//
-// SetPolicy / PolicyHook make the division policy switchable at
-// runtime, elektron's schedPolicy switching hook: a sweep can start
-// bin-packed for throughput and fall back to equal-split when the
-// budget tightens, without rebuilding the manager.
+// so no node is starved below quarantine power. A manager keeps the
+// policy it was built with for the whole run.
 
 import (
-	"fmt"
 	"sort"
 
 	"progresscap/internal/rapl"
@@ -195,24 +190,3 @@ func packCaps(budgetW float64, nodes []NodeStatus, order []int, nodeCapW, floorW
 	}
 	return caps
 }
-
-// PolicyHook inspects the epoch's statuses before division and may
-// return a replacement policy (nil keeps the current one) — runtime
-// policy switching, consulted once per post-calibration epoch.
-type PolicyHook func(epoch int, statuses []NodeStatus) Policy
-
-// SetPolicy swaps the manager's division policy from the next epoch on.
-func (m *Manager) SetPolicy(p Policy) error {
-	if p == nil {
-		return fmt.Errorf("cluster: SetPolicy(nil)")
-	}
-	m.policy = p
-	return nil
-}
-
-// PolicyName returns the current division policy's name.
-func (m *Manager) PolicyName() string { return m.policy.Name() }
-
-// SetPolicyHook installs a runtime policy-switching hook. Call before
-// the first Step; pass nil to remove.
-func (m *Manager) SetPolicyHook(h PolicyHook) { m.policyHook = h }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"testing"
 
-	"progresscap/internal/apps"
 	"progresscap/internal/rapl"
 )
 
@@ -137,71 +136,5 @@ func TestPackersDeterministicOnTies(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestPolicySwitchHook drives a manager with a runtime policy-switching
-// hook: equal-split through epoch 5, bin-packed after — and verifies
-// the switch actually changes division behavior mid-run.
-func TestPolicySwitchHook(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation test")
-	}
-	m, err := NewManager(EqualSplit{}, ConstantBudget(260),
-		newNode(t, "n0", apps.LAMMPS(apps.DefaultRanks, 900), 0, 1),
-		newNode(t, "n1", apps.LAMMPS(apps.DefaultRanks, 900), 1.4, 2),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var switched bool
-	m.SetPolicyHook(func(epoch int, statuses []NodeStatus) Policy {
-		if epoch == 5 {
-			switched = true
-			return BinPackSortedWatts{}
-		}
-		return nil
-	})
-	for i := 0; i < 9; i++ {
-		if _, err := m.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := m.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !switched {
-		t.Fatal("hook never fired")
-	}
-	if m.PolicyName() != (BinPackSortedWatts{}).Name() {
-		t.Fatalf("policy after switch = %s", m.PolicyName())
-	}
-	// Before the switch both nodes split equally; after it the caps must
-	// differ (the packer sees unequal draw on heterogeneous silicon).
-	n0, n1 := res.Nodes[0].CapTrace(), res.Nodes[1].CapTrace()
-	preIdx, postIdx := 3, 8 // post-calibration equal epoch, post-switch epoch
-	if n0.At(preIdx).V != n1.At(preIdx).V {
-		t.Fatalf("pre-switch caps unequal: %g vs %g", n0.At(preIdx).V, n1.At(preIdx).V)
-	}
-	if n0.At(postIdx).V == n1.At(postIdx).V {
-		t.Fatalf("post-switch caps still equal: %g", n0.At(postIdx).V)
-	}
-}
-
-func TestSetPolicy(t *testing.T) {
-	m, err := NewManager(EqualSplit{}, ConstantBudget(100),
-		newNode(t, "n0", apps.LAMMPS(apps.DefaultRanks, 100), 0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetPolicy(nil); err == nil {
-		t.Fatal("SetPolicy(nil) accepted")
-	}
-	if err := m.SetPolicy(MaxGreedyMins{}); err != nil {
-		t.Fatal(err)
-	}
-	if m.PolicyName() != "max-greedy-mins" {
-		t.Fatalf("policy = %s", m.PolicyName())
 	}
 }

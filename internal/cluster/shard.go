@@ -2,9 +2,10 @@ package cluster
 
 // Sharded node advancement: the intra-epoch parallelism layer.
 //
-// Both stepping paths (Manager.Step, LeasedCluster.Step) decide caps,
-// program RAPL, and run watchdog/feedback serially — those touch shared
-// policy, lease, and journal state. But advancing the node engines
+// The job epoch loop (job.go) runs each control plane's control and
+// feedback phases serially — deciding caps, programming RAPL, lease
+// grants, the watchdog — because those touch shared policy, lease, and
+// journal state. But advancing the node engines
 // through the epoch is embarrassingly parallel: each engine is a fully
 // self-contained plant (its own device, bus, monitor, fault plan, RNG),
 // so engines never share mutable state and the schedule cannot leak

@@ -22,35 +22,23 @@ func seriesSig(b *strings.Builder, s *trace.Series) {
 	b.WriteByte('\n')
 }
 
-// managerSig flattens a Manager run into a bit-exact signature: every
-// node's full engine result signature plus the job-level traces.
-func managerSig(res *Result) string {
+// resultSig flattens a run of either plane into a bit-exact signature:
+// the job-level totals and traces, the distributed-safety counters when
+// the run was leased, and every node's cap trace and full engine result
+// signature.
+func resultSig(res *Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "elapsed=%d completed=%t energy=%b\n", res.Elapsed, res.Completed, res.TotalEnergyJ)
+	fmt.Fprintf(&b, "elapsed=%d completed=%t energy=%b work=%b\n",
+		res.Elapsed, res.Completed, res.TotalEnergyJ, res.WorkUnits)
 	seriesSig(&b, res.MinProgress)
 	seriesSig(&b, res.MeanProgress)
 	seriesSig(&b, res.BudgetTrace)
-	for _, n := range res.Nodes {
-		fmt.Fprintf(&b, "node %s\n", n.Name())
-		seriesSig(&b, n.CapTrace())
-		b.WriteString(n.Result().Signature())
+	if l := res.Lease; l != nil {
+		fmt.Fprintf(&b, "overshoot=%b failovers=%d grants=%d fenced=%d expired=%d undelivered=%d reverts=%d\n",
+			l.PeakOvershootW, l.Failovers, l.GrantsIssued, l.FencedGrants, l.ExpiredOnArrival,
+			l.UndeliveredGrants, l.ExpiredReverts)
+		seriesSig(&b, l.EnforcedTrace)
 	}
-	return b.String()
-}
-
-// leasedSig flattens a LeasedCluster run the same way, including the
-// distributed-safety counters.
-func leasedSig(res *LeasedResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "elapsed=%d completed=%t energy=%b work=%b overshoot=%b\n",
-		res.Elapsed, res.Completed, res.TotalEnergyJ, res.WorkUnits, res.PeakOvershootW)
-	fmt.Fprintf(&b, "failovers=%d grants=%d fenced=%d expired=%d undelivered=%d reverts=%d\n",
-		res.Failovers, res.GrantsIssued, res.FencedGrants, res.ExpiredOnArrival,
-		res.UndeliveredGrants, res.ExpiredReverts)
-	seriesSig(&b, res.MinProgress)
-	seriesSig(&b, res.MeanProgress)
-	seriesSig(&b, res.BudgetTrace)
-	seriesSig(&b, res.EnforcedTrace)
 	for _, n := range res.Nodes {
 		fmt.Fprintf(&b, "node %s\n", n.Name())
 		seriesSig(&b, n.CapTrace())
@@ -84,7 +72,7 @@ func runManagerSharded(t *testing.T, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return managerSig(res)
+	return resultSig(res)
 }
 
 func runLeasedSharded(t *testing.T, workers int) string {
@@ -98,10 +86,9 @@ func runLeasedSharded(t *testing.T, workers int) string {
 		},
 	}
 	cfg := LeasedConfig{
-		Policy:      EqualSplit{},
-		Budget:      ConstantBudget(leasedBudgetW),
-		Faults:      fault.NewInjector(plan),
-		NodeWorkers: workers,
+		Policy: EqualSplit{},
+		Budget: ConstantBudget(leasedBudgetW),
+		Faults: fault.NewInjector(plan),
 	}
 	lc, err := NewLeasedCluster(cfg,
 		newLeasedTestNode(t, "n0", 1),
@@ -111,11 +98,12 @@ func runLeasedSharded(t *testing.T, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lc.SetNodeWorkers(workers)
 	res, err := lc.Run(14 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return leasedSig(res)
+	return resultSig(res)
 }
 
 // TestClusterParallelDeterminism is the tentpole's proof: serial and
@@ -196,7 +184,7 @@ func TestEpochSeriesAligned(t *testing.T) {
 		if got := lres.BudgetTrace.At(i).T; got != want {
 			t.Fatalf("leased budget epoch %d stamped %v, want %v", i, got, want)
 		}
-		if got := lres.EnforcedTrace.At(i).T; got != want {
+		if got := lres.Lease.EnforcedTrace.At(i).T; got != want {
 			t.Fatalf("leased enforced epoch %d stamped %v, want %v", i, got, want)
 		}
 		if got := lres.MinProgress.At(i).T; got != want {

@@ -61,7 +61,7 @@ func RunPartitionSuite(opts Options) (*PartitionReport, error) {
 	}
 
 	runOne := func(name string, plan fault.Plan) (PartitionScenario, error) {
-		var nodes []*cluster.LeasedNode
+		var nodes []*cluster.Node
 		var engines []*engine.Engine
 		for i, nn := range []string{"n0", "n1", "n2"} {
 			cfg := opts.engineConfig()
@@ -75,17 +75,17 @@ func RunPartitionSuite(opts Options) (*PartitionReport, error) {
 			}
 			e.EnableInvariants(engine.InvariantConfig{})
 			engines = append(engines, e)
-			nodes = append(nodes, cluster.NewLeasedNode(nn, e))
+			nodes = append(nodes, cluster.NewNode(nn, e))
 		}
 		lc, err := cluster.NewLeasedCluster(cluster.LeasedConfig{
-			Policy:      cluster.EqualSplit{},
-			Budget:      cluster.ConstantBudget(partBudgetW),
-			Faults:      fault.NewInjector(plan),
-			NodeWorkers: opts.NodeWorkers,
+			Policy: cluster.EqualSplit{},
+			Budget: cluster.ConstantBudget(partBudgetW),
+			Faults: fault.NewInjector(plan),
 		}, nodes...)
 		if err != nil {
 			return PartitionScenario{}, err
 		}
+		lc.SetNodeWorkers(opts.NodeWorkers)
 		res, err := lc.Run(partHorizon)
 		if err != nil {
 			return PartitionScenario{}, fmt.Errorf("ext-partitions: %s: %w", name, err)
@@ -99,12 +99,12 @@ func RunPartitionSuite(opts Options) (*PartitionReport, error) {
 		return PartitionScenario{
 			Name:              name,
 			WorkUnits:         res.WorkUnits,
-			PeakOvershootW:    res.PeakOvershootW,
-			Failovers:         res.Failovers,
-			GrantsIssued:      res.GrantsIssued,
-			FencedGrants:      res.FencedGrants,
-			UndeliveredGrants: res.UndeliveredGrants,
-			ExpiredReverts:    res.ExpiredReverts,
+			PeakOvershootW:    res.Lease.PeakOvershootW,
+			Failovers:         res.Lease.Failovers,
+			GrantsIssued:      res.Lease.GrantsIssued,
+			FencedGrants:      res.Lease.FencedGrants,
+			UndeliveredGrants: res.Lease.UndeliveredGrants,
+			ExpiredReverts:    res.Lease.ExpiredReverts,
 			Completed:         res.Completed,
 		}, nil
 	}

@@ -39,7 +39,7 @@ func (h *Harness) runCluster(sc spec.Scenario, rep *Report) error {
 		Counters: sc.Faults.Counters,
 	}
 
-	var nodes []*cluster.LeasedNode
+	var nodes []*cluster.Node
 	for i, name := range sc.NodeNames() {
 		cfg := engine.DefaultConfig()
 		cfg.Seed = sc.Seed + uint64(i)
@@ -59,7 +59,7 @@ func (h *Harness) runCluster(sc spec.Scenario, rep *Report) error {
 			derived.Seed = engineFaults.Seed + uint64(i)
 			eng.SetFaults(fault.NewInjector(derived))
 		}
-		nodes = append(nodes, cluster.NewLeasedNode(name, eng))
+		nodes = append(nodes, cluster.NewNode(name, eng))
 	}
 
 	inj := fault.NewInjector(sc.Faults)
@@ -72,11 +72,11 @@ func (h *Harness) runCluster(sc spec.Scenario, rep *Report) error {
 		LeaseTTL:       time.Duration(sc.Fleet.LeaseTTLEpochs) * cluster.Epoch,
 		FailoverEpochs: sc.Fleet.FailoverEpochs,
 		Faults:         inj,
-		NodeWorkers:    h.NodeWorkers,
 	}, nodes...)
 	if err != nil {
 		return err
 	}
+	lc.SetNodeWorkers(h.NodeWorkers)
 
 	counts := map[string]int{}
 	report := func(oracle, format string, args ...any) {
@@ -170,8 +170,8 @@ func (h *Harness) runCluster(sc spec.Scenario, rep *Report) error {
 				report("journal", "accepted lease %+v not in WAL replay", l)
 			}
 		}
-		if uint64(len(grants)) != res.GrantsIssued {
-			report("journal", "WAL replays %d grants, ledger charged %d", len(grants), res.GrantsIssued)
+		if uint64(len(grants)) != res.Lease.GrantsIssued {
+			report("journal", "WAL replays %d grants, ledger charged %d", len(grants), res.Lease.GrantsIssued)
 		}
 	}
 

@@ -173,8 +173,11 @@ type OperatingPoint struct {
 }
 
 // FleetSpec shapes the simulated fleet. Nodes == 1 runs one engine under
-// the operating point; Nodes >= 2 runs the replicated leasing manager
-// (internal/cluster.LeasedCluster) with the remaining fields.
+// the operating point; Nodes >= 2 runs the cluster under its leasing
+// control plane (internal/cluster.LeasedCluster: a replicated manager
+// pair granting every cap as a lease) with the remaining fields. The
+// direct control plane (cluster.Manager) has no spec form; the ext-cluster,
+// ext-faults and ext-fleet artifacts build it in code.
 type FleetSpec struct {
 	Nodes int `json:"nodes"`
 	// BudgetW is the cluster-wide power budget the lease arbiter divides
