@@ -56,15 +56,11 @@ race: test-race
 # `go run ./cmd/experiments -spec <file>`.
 SEEDS ?= 25
 soak:
-	$(GO) run ./cmd/soak -seeds $(SEEDS) -cachedir out/cache -cacheprune 168h -forking
+	$(GO) run ./cmd/soak -seeds $(SEEDS) -cachedir out/cache -cacheprune 168h
 
 # The quick deterministic slice of the same soak that rides in `verify`.
-# -forking routes single-node scenarios through the checkpoint/fork pool
-# (an execution knob: oracle outcomes are identical), so the pre-merge
-# gate exercises the fork path on generated scenarios, on top of the
-# race-enabled fork-vs-scratch oracle in test-race.
 soak-short:
-	$(GO) run ./cmd/soak -seeds 12 -forking
+	$(GO) run ./cmd/soak -seeds 12
 
 # Backend-hardening soak: the same generated scenarios forced onto the
 # sysfs actuation path (hardened actuator over the emulated powercap

@@ -59,7 +59,6 @@ func main() {
 	nodeWorkers := flag.Int("nodeworkers", 0, "max concurrent node shards per cluster epoch (0 = GOMAXPROCS, 1 = serial); oracle outcomes are identical at any setting")
 	cacheDir := flag.String("cachedir", "", "disk result cache directory shared with cmd/experiments")
 	cachePrune := flag.Duration("cacheprune", 0, "before running, evict -cachedir entries older than this age (e.g. 168h); 0 = never")
-	forking := flag.Bool("forking", false, "fork single-node scenarios from pooled engine checkpoints where they share a simulation prefix; oracle outcomes are identical at any setting")
 	outDir := flag.String("out", filepath.Join("out", "soak"), "directory for shrunk minimal repros")
 	shrinkBudget := flag.Int("shrinkbudget", soak.DefaultShrinkBudget, "max scenario executions per shrink")
 	backend := flag.String("backend", "", "force the actuation backend on every generated single-node scenario: msr or sysfs (empty = generator's own mix)")
@@ -91,7 +90,6 @@ func main() {
 	}
 	h := soak.New(runner)
 	h.NodeWorkers = *nodeWorkers
-	h.Forking = *forking
 	if h.BugW != 0 {
 		fmt.Fprintf(os.Stderr, "soak: deliberate budget bug armed (+%g W)\n", h.BugW)
 	}
@@ -201,12 +199,7 @@ func main() {
 		actLine = fmt.Sprintf(", actuation %d attempts (%d retries, %d failovers, %d parks)",
 			a.Attempts, a.Retries, a.Failovers, a.Parks)
 	}
-	forkLine := ""
-	if st.ForkRuns > 0 {
-		forkLine = fmt.Sprintf(", %d/%d runs forked from shared prefixes (%d virtual s skipped)",
-			st.ForkHits, st.ForkRuns, st.ForkSkippedSec)
-	}
-	fmt.Fprintf(os.Stderr, "soak: %d scenarios (%d cluster, %d single), %d failing, %d runs executed, %d served from cache (%d memo, %d disk)%s%s%s, wall %s\n",
-		len(list), clusterN, singleN, failures, st.Executed, st.CacheHits+st.DiskHits, st.CacheHits, st.DiskHits, shardLine, actLine, forkLine, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "soak: %d scenarios (%d cluster, %d single), %d failing, %d runs executed, %d served from cache (%d memo, %d disk)%s%s, wall %s\n",
+		len(list), clusterN, singleN, failures, st.Executed, st.CacheHits+st.DiskHits, st.CacheHits, st.DiskHits, shardLine, actLine, time.Since(start).Round(time.Millisecond))
 	os.Exit(exit)
 }

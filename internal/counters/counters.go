@@ -59,9 +59,11 @@ type ReadHook func(core int, e Event, v uint64) uint64
 // use (a read racing a write, two writers on one core, SetReadHook
 // racing anything) must be ordered by the caller.
 type Bank struct {
-	cores    int
+	// cores is construction configuration; readHook is the fault layer's,
+	// installed by SetFaults on a resumed engine.
+	cores    int      `snap:"-"`
 	vals     []uint64 // flat [core*numEvents + event]
-	readHook ReadHook
+	readHook ReadHook `snap:"-"`
 }
 
 // NewBank returns a zeroed counter bank for the given core count.
@@ -116,22 +118,14 @@ func (b *Bank) Total(e Event) uint64 {
 	return sum
 }
 
-// Snapshot returns a copy of every counter, indexed [core][event].
-func (b *Bank) Snapshot() [][]uint64 {
-	out := make([][]uint64, b.cores)
-	for c := range out {
-		out[c] = append([]uint64(nil), b.vals[c*int(numEvents):(c+1)*int(numEvents)]...)
-	}
-	return out
-}
-
 // EventSet is the PAPI-style reading interface: it remembers the counter
 // values at Start and yields deltas at Stop/Read, aggregated over all
 // cores.
 type EventSet struct {
-	bank   *Bank
-	events []Event
-	start  map[Event]uint64
+	// bank is wiring and events construction configuration.
+	bank   *Bank    `snap:"-"`
+	events []Event  `snap:"-"`
+	start  []uint64 // the values latched at Start, one per event; nil before
 	began  time.Duration
 }
 
@@ -145,9 +139,9 @@ func NewEventSet(bank *Bank, events ...Event) *EventSet {
 
 // Start latches the current counter values at virtual time now.
 func (s *EventSet) Start(now time.Duration) {
-	s.start = make(map[Event]uint64, len(s.events))
-	for _, e := range s.events {
-		s.start[e] = s.bank.Total(e)
+	s.start = make([]uint64, len(s.events))
+	for i, e := range s.events {
+		s.start[i] = s.bank.Total(e)
 	}
 	s.began = now
 }
@@ -182,8 +176,8 @@ func (s *EventSet) Stop(now time.Duration) Reading {
 		sec = 1
 	}
 	bound := uint64(sec * float64(s.bank.Cores()) * maxEventsPerCoreSecond)
-	for _, e := range s.events {
-		d := s.bank.Total(e) - s.start[e] // modular: exact across wraparound
+	for i, e := range s.events {
+		d := s.bank.Total(e) - s.start[i] // modular: exact across wraparound
 		if d > bound {
 			d = 0
 			r.Clamped = append(r.Clamped, e)

@@ -31,16 +31,6 @@ func TestBankZeroCoresPanics(t *testing.T) {
 	NewBank(0)
 }
 
-func TestBankSnapshotIsCopy(t *testing.T) {
-	b := NewBank(2)
-	b.Add(1, L3TCM, 7)
-	snap := b.Snapshot()
-	snap[1][L3TCM] = 999
-	if b.Read(1, L3TCM) != 7 {
-		t.Fatal("Snapshot aliases bank storage")
-	}
-}
-
 func TestBankConcurrentAdd(t *testing.T) {
 	b := NewBank(8)
 	var wg sync.WaitGroup

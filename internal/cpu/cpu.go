@@ -69,7 +69,8 @@ func (c Config) Quantize(mhz float64) float64 {
 // Domain is the package frequency domain: one shared P-state plus a
 // package-wide duty cycle. The zero value is unusable; use NewDomain.
 type Domain struct {
-	cfg     Config
+	// cfg is construction configuration.
+	cfg     Config `snap:"-"`
 	freq    float64
 	duty    float64 // (0,1], 1 = no modulation
 	ceiling float64 // 0 = none; else max grantable P-state (throttled part)

@@ -118,16 +118,20 @@ func (c Config) validate() error {
 }
 
 // JobResult is the per-workload outcome of a run.
+//
+// A checkpoint carries the fields filled during the run; the ones tagged
+// `snap:"-"` come from construction or are derived from the executor at
+// Finish.
 type JobResult struct {
-	Workload  string
-	Metric    string
-	Completed bool
+	Workload  string `snap:"-"`
+	Metric    string `snap:"-"`
+	Completed bool   `snap:"-"`
 	Samples   []progress.Sample
 	RateTrace *trace.Series
 	WorkUnits float64
 	// RankLoads is each rank's cumulative work/spin/sleep accounting
 	// (the per-processing-element progress view).
-	RankLoads []workload.RankLoad
+	RankLoads []workload.RankLoad `snap:"-"`
 }
 
 // Imbalance returns the job's mean barrier-spin share of busy time.
@@ -159,13 +163,18 @@ func (j *JobResult) Rates() []float64 {
 // Result is everything an experiment needs from one run. The top-level
 // progress fields describe the engine's first (primary) workload; Jobs
 // holds every workload's stream for composite setups.
+//
+// A checkpoint carries the node traces and WorkUnits, which fill during
+// the run. The fields tagged `snap:"-"` are construction configuration,
+// are derived at Finish, or alias the jobs' and daemon's own state, so
+// Resume rebuilds them as start() does.
 type Result struct {
-	Workload  string
-	Elapsed   time.Duration
-	Completed bool // every workload ran to completion (vs hit the time limit)
+	Workload  string        `snap:"-"`
+	Elapsed   time.Duration `snap:"-"`
+	Completed bool          `snap:"-"` // every workload ran to completion (vs hit the time limit)
 
 	// Samples are the primary workload's per-window observations.
-	Samples []progress.Sample
+	Samples []progress.Sample `snap:"-"`
 
 	// Per-window node traces.
 	PowerTrace *trace.Series // average package power (W)
@@ -173,23 +182,23 @@ type Result struct {
 	FreqTrace  *trace.Series // P-state frequency (MHz)
 	DutyTrace  *trace.Series // DDCM duty cycle
 	BWTrace    *trace.Series // uncore bandwidth grant
-	RateTrace  *trace.Series // primary online performance (metric units/s)
-	CapTrace   *trace.Series // applied cap (W; 0 = uncapped), nil without a daemon
+	RateTrace  *trace.Series `snap:"-"` // primary online performance (metric units/s)
+	CapTrace   *trace.Series `snap:"-"` // applied cap (W; 0 = uncapped), nil without a daemon
 
-	EnergyJ     float64
-	DRAMEnergyJ float64 // the separate DRAM RAPL domain
-	Counters    counters.Reading
-	Dropped     uint64 // progress reports lost in the pub/sub layer
+	EnergyJ     float64          `snap:"-"`
+	DRAMEnergyJ float64          `snap:"-"` // the separate DRAM RAPL domain
+	Counters    counters.Reading `snap:"-"`
+	Dropped     uint64           `snap:"-"` // progress reports lost in the pub/sub layer
 	// DropsByTopic attributes pub/sub losses to the progress stream that
 	// suffered them (topic = "progress.<app>").
-	DropsByTopic map[string]uint64
+	DropsByTopic map[string]uint64 `snap:"-"`
 
 	// WorkUnits is the total application-defined work executed across
 	// all workloads (the paper's Definition 2, Table I).
 	WorkUnits float64
 
 	// Jobs holds one entry per workload, in the order given to New.
-	Jobs []*JobResult
+	Jobs []*JobResult `snap:"-"`
 }
 
 // MeanRate returns the primary workload's mean per-window online
@@ -226,8 +235,10 @@ type job struct {
 	reporter *progress.Reporter
 	monitor  *progress.Monitor
 	sub      *pubsub.Subscription
-	dec      *progress.Decoder
-	res      *JobResult
+	// dec is a string-interning cache; rebuilding it changes nothing
+	// observable.
+	dec *progress.Decoder `snap:"-"`
+	res *JobResult
 }
 
 // spanCache is every job's Span folded at one operating point. Span is
@@ -246,9 +257,13 @@ type spanCache struct {
 
 // Engine is one assembled simulation.
 type Engine struct {
-	cfg    Config
-	clock  *simtime.Clock
-	sched  *simtime.Scheduler
+	// cfg is construction configuration; a resumed engine is built from
+	// the same Config.
+	cfg   Config `snap:"-"`
+	clock *simtime.Clock
+	// sched is empty at any checkpoint: Checkpoint refuses pending
+	// callbacks, which are closures and cannot be deep-copied.
+	sched  *simtime.Scheduler `snap:"-"`
 	dev    *msr.Device
 	domain *cpu.Domain
 	uncore *cpu.Uncore
@@ -264,9 +279,11 @@ type Engine struct {
 	windowTicker *simtime.Ticker
 	policyTicker *simtime.Ticker
 
-	events   *counters.EventSet
-	started  bool
-	finished bool
+	events  *counters.EventSet
+	started bool
+	// finished is false at any checkpoint: Checkpoint refuses finished
+	// engines and Resume used ones.
+	finished bool `snap:"-"`
 	res      *Result
 
 	lastFlush  time.Duration
@@ -280,7 +297,9 @@ type Engine struct {
 	obsAnchor time.Duration
 
 	// span caches the folded workload composition of the current stretch.
-	span spanCache
+	// Every job has consumed up to the window edge a checkpoint sits on,
+	// so a resumed engine refolds the same values.
+	span spanCache `snap:"-"`
 
 	// Payload recycling: progress-report buffers flow Reporter.Publish →
 	// bus → job subscription → flushWindow, where — once decoded — the
@@ -289,24 +308,27 @@ type Engine struct {
 	// the moment any condition fails (fault layer installed, an external
 	// bus subscriber, or overlapping job topics), because a recycled buffer
 	// some other party still references would be silent corruption.
+	// topicsDisjoint is derived from the workload names at construction;
+	// payloadFree affects allocation only, never results.
 	recycle        bool
-	topicsDisjoint bool
-	payloadFree    [][]byte
+	topicsDisjoint bool     `snap:"-"`
+	payloadFree    [][]byte `snap:"-"`
 	// drained is flushWindow's scratch for one job's drained reports,
 	// reused across windows and emptied after each.
-	drained []pubsub.Message
+	drained []pubsub.Message `snap:"-"`
 
 	// reserved notes that trace series and sample slices were pre-sized
 	// from the first Advance's horizon.
 	reserved bool
 
-	windowHook func(WindowStats)
+	// windowHook is a closure; Checkpoint refuses engines that have one.
+	windowHook func(WindowStats) `snap:"-"`
 
 	// Fault injection (nil in a clean run; every consultation is a single
 	// nil-check, so an uninstalled layer costs nothing and perturbs
-	// nothing).
+	// nothing). pubFaults is a view of faults that SetFaults installs.
 	faults    *fault.Injector
-	pubFaults *fault.PubSub
+	pubFaults *fault.PubSub `snap:"-"`
 
 	// Invariant checker (nil unless EnableInvariants was called).
 	inv *invariantChecker
@@ -567,13 +589,9 @@ func (e *Engine) SetManualDDCM(duty float64) {
 	e.uncore.SetBWScale(1)
 }
 
-// start lazily initializes run state before the first tick.
-func (e *Engine) start() error {
-	if e.started {
-		return nil
-	}
-	e.started = true
-	e.res = &Result{
+// newResult returns the run's result, wired to the jobs' own results.
+func (e *Engine) newResult() *Result {
+	res := &Result{
 		Workload:   e.jobs[0].res.Workload,
 		PowerTrace: trace.NewSeries("power.pkg", "W"),
 		CoreTrace:  trace.NewSeries("power.core", "W"),
@@ -582,8 +600,18 @@ func (e *Engine) start() error {
 		BWTrace:    trace.NewSeries("uncore.bwscale", ""),
 	}
 	for _, j := range e.jobs {
-		e.res.Jobs = append(e.res.Jobs, j.res)
+		res.Jobs = append(res.Jobs, j.res)
 	}
+	return res
+}
+
+// start lazily initializes run state before the first tick.
+func (e *Engine) start() error {
+	if e.started {
+		return nil
+	}
+	e.started = true
+	e.res = e.newResult()
 	e.events.Start(0)
 	// Latch the payload-recycling decision: every party that could extend
 	// a payload's lifetime (fault layer, external subscribers) is installed

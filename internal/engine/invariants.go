@@ -58,7 +58,8 @@ func (v InvariantViolation) String() string {
 
 // invariantChecker holds the checker's window-to-window state.
 type invariantChecker struct {
-	cfg        InvariantConfig
+	// cfg is construction configuration.
+	cfg        InvariantConfig `snap:"-"`
 	lastTotalJ float64
 	lastRawSet bool
 	lastRaw    uint64

@@ -37,6 +37,7 @@ import (
 	"progresscap/internal/policy"
 	"progresscap/internal/powercap"
 	"progresscap/internal/rapl"
+	"progresscap/internal/snap"
 	"progresscap/internal/spec"
 )
 
@@ -48,16 +49,17 @@ import (
 const defaultPoolBytes = 256 << 20
 
 // forkSnapshot is one pooled prefix: the engine checkpoint plus, for
-// sysfs-backend runs, the actuation state that lives outside the engine
-// (the hardened actuator and the emulated powercap zone are built by
-// the runner, not the engine, so the engine checkpoint cannot see
-// them). Snapshots are immutable once pooled: Checkpoint copies out of
-// the engine and Resume copies out of the checkpoint, so concurrent
-// forks may restore from one snapshot while its donor keeps running.
+// sysfs-backend runs, deep copies of the actuation objects that live
+// outside the engine (the hardened actuator and the emulated powercap
+// zone are built by the runner, not the engine, so the engine checkpoint
+// cannot see them). Snapshots are immutable once pooled: every copy goes
+// out of the live run or out of the snapshot, never into it, so
+// concurrent forks may restore from one snapshot while its donor keeps
+// running. size is the bytes the copies allocated.
 type forkSnapshot struct {
 	ck   *engine.Checkpoint
-	act  *rapl.ActuatorState
-	zone *powercap.ZoneState
+	act  *rapl.Actuator
+	zone *powercap.Zone
 	size int
 }
 
@@ -74,8 +76,8 @@ type snapshotPool struct {
 }
 
 type poolItem struct {
-	key  string
-	snap *forkSnapshot
+	key string
+	fs  *forkSnapshot
 }
 
 func newSnapshotPool(maxBytes int) *snapshotPool {
@@ -91,7 +93,7 @@ func (p *snapshotPool) get(key string) *forkSnapshot {
 		return nil
 	}
 	p.lru.MoveToFront(el)
-	return el.Value.(*poolItem).snap
+	return el.Value.(*poolItem).fs
 }
 
 // has reports whether key is pooled, without promoting it.
@@ -106,8 +108,8 @@ func (p *snapshotPool) has(key string) bool {
 // the byte bound holds. A snapshot larger than the whole bound is not
 // pooled at all. An existing entry for key is kept (first writer wins;
 // equal keys name byte-identical prefixes).
-func (p *snapshotPool) put(key string, snap *forkSnapshot) {
-	if snap.size > p.max {
+func (p *snapshotPool) put(key string, fs *forkSnapshot) {
+	if fs.size > p.max {
 		return
 	}
 	p.mu.Lock()
@@ -115,8 +117,8 @@ func (p *snapshotPool) put(key string, snap *forkSnapshot) {
 	if _, ok := p.items[key]; ok {
 		return
 	}
-	p.items[key] = p.lru.PushFront(&poolItem{key: key, snap: snap})
-	p.total += snap.size
+	p.items[key] = p.lru.PushFront(&poolItem{key: key, fs: fs})
+	p.total += fs.size
 	for p.total > p.max {
 		el := p.lru.Back()
 		if el == nil {
@@ -125,7 +127,7 @@ func (p *snapshotPool) put(key string, snap *forkSnapshot) {
 		it := el.Value.(*poolItem)
 		p.lru.Remove(el)
 		delete(p.items, it.key)
-		p.total -= it.snap.size
+		p.total -= it.fs.size
 	}
 }
 
@@ -138,7 +140,7 @@ func (p *snapshotPool) drop(key string) {
 		it := el.Value.(*poolItem)
 		p.lru.Remove(el)
 		delete(p.items, it.key)
-		p.total -= it.snap.size
+		p.total -= it.fs.size
 	}
 }
 
@@ -363,38 +365,35 @@ func (b *builtRun) finish(res *engine.Result) (*engine.Result, *rapl.ActuatorCou
 }
 
 // snapshot captures the run's complete state: the engine checkpoint
-// plus the out-of-engine actuation state on the sysfs path.
+// plus copies of the out-of-engine actuation objects on the sysfs path.
 func (b *builtRun) snapshot() (*forkSnapshot, error) {
 	ck, err := b.eng.Checkpoint()
 	if err != nil {
 		return nil, err
 	}
 	s := &forkSnapshot{ck: ck, size: ck.SizeBytes()}
-	if b.act != nil {
-		st := b.act.Snapshot()
-		s.act = &st
-		s.size += 512
-	}
-	if b.zone != nil {
-		st := b.zone.Snapshot()
-		s.zone = &st
+	for _, c := range [][2]any{{&s.act, &b.act}, {&s.zone, &b.zone}} {
+		n, err := snap.Copy(c[0], c[1])
+		if err != nil {
+			return nil, err
+		}
+		s.size += n
 	}
 	return s, nil
 }
 
 // restore pours a pooled snapshot into a freshly built run.
 func (b *builtRun) restore(s *forkSnapshot) error {
-	if (s.act != nil) != (b.act != nil) {
+	if (s.act != nil) != (b.act != nil) || (s.zone != nil) != (b.zone != nil) {
 		return errActuationMismatch
 	}
 	if err := b.eng.Resume(s.ck); err != nil {
 		return err
 	}
-	if s.act != nil {
-		b.act.Restore(*s.act)
-	}
-	if s.zone != nil && b.zone != nil {
-		b.zone.Restore(*s.zone)
+	for _, c := range [][2]any{{&b.act, &s.act}, {&b.zone, &s.zone}} {
+		if _, err := snap.Copy(c[0], c[1]); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -427,15 +426,15 @@ func (r *Runner) runForked(rs RunSpec) (*engine.Result, *rapl.ActuatorCounters, 
 	depth := 0
 	for d := whole; d >= 1 && b == nil; d-- {
 		key := base.key(d)
-		snap := r.pool.get(key)
-		if snap == nil {
+		fs := r.pool.get(key)
+		if fs == nil {
 			continue
 		}
 		nb, err := build(rs)
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := nb.restore(snap); err != nil {
+		if err := nb.restore(fs); err != nil {
 			r.pool.drop(key)
 			break
 		}
@@ -467,8 +466,8 @@ func (r *Runner) runForked(rs RunSpec) (*engine.Result, *rapl.ActuatorCounters, 
 		if r.pool.has(key) {
 			continue
 		}
-		if snap, err := b.snapshot(); err == nil {
-			r.pool.put(key, snap)
+		if fs, err := b.snapshot(); err == nil {
+			r.pool.put(key, fs)
 		}
 	}
 	if rem := horizon - time.Duration(whole)*time.Second; rem > 0 {

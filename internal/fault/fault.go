@@ -167,14 +167,17 @@ func (p Plan) Enabled() bool {
 
 // Injector instantiates a Plan's per-class fault generators.
 type Injector struct {
-	plan     Plan
+	// plan is construction configuration. nodes, links and managers serve
+	// the cluster layer: their split RNGs never advance during an engine
+	// run, so a checkpoint leaves them out.
+	plan     Plan `snap:"-"`
 	pubsub   *PubSub
 	msr      *MSR
 	counters *Counters
 	powercap *Powercap
-	nodes    map[string]*Node
-	links    *Links
-	managers map[string]*Manager
+	nodes    map[string]*Node    `snap:"-"`
+	links    *Links              `snap:"-"`
+	managers map[string]*Manager `snap:"-"`
 }
 
 // NewInjector returns an injector for the plan.

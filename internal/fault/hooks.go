@@ -11,7 +11,8 @@ import (
 // MSR perturbs model-specific-register accesses through msr.Device's
 // fault hook.
 type MSR struct {
-	plan MSRPlan
+	// plan is construction configuration.
+	plan MSRPlan `snap:"-"`
 	rng  *simtime.RNG
 
 	staleServed uint64
@@ -65,7 +66,8 @@ func (f *MSR) Stats() (stale, readEIO, writeEIO uint64) {
 // Counters perturbs hardware-event-counter observations through
 // counters.Bank's read hook.
 type Counters struct {
-	plan CounterPlan
+	// plan is construction configuration.
+	plan CounterPlan `snap:"-"`
 	rng  *simtime.RNG
 
 	glitches uint64

@@ -90,7 +90,8 @@ func (p PowercapPlan) Validate() error {
 // before rate faults and draw no randomness, so a plan with only
 // windows is exactly reproducible access-count-independently.
 type Powercap struct {
-	plan PowercapPlan
+	// plan is construction configuration.
+	plan PowercapPlan `snap:"-"`
 	rng  *simtime.RNG
 
 	again     uint64

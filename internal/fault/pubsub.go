@@ -22,7 +22,8 @@ type delayed struct {
 // for the single-threaded simulation loop and are not safe for concurrent
 // use.
 type PubSub struct {
-	plan PubSubPlan
+	// plan is construction configuration.
+	plan PubSubPlan `snap:"-"`
 	rng  *simtime.RNG
 
 	queue   []delayed

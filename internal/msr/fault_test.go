@@ -1,6 +1,10 @@
 package msr
 
-import "testing"
+import (
+	"testing"
+
+	"progresscap/internal/snap"
+)
 
 // staleReads is a fault hook that serves every read stale while *on is
 // true and leaves writes alone.
@@ -162,12 +166,13 @@ func TestSnapshotRestorePreservesStaleImagesAndSetRegisters(t *testing.T) {
 	}
 	src.Poke(PkgEnergyStatus, 9)
 	src.PokeCore(1, PerfStatus, RatioFromMHz(2500))
-	st := src.Snapshot()
 
 	dst := NewDevice(2, nil)
 	dst.Poke(DramEnergyStatus, 1) // set here, unset in the snapshot
 	dst.PokeCore(0, PerfStatus, RatioFromMHz(900))
-	dst.Restore(st)
+	if _, err := snap.Copy(dst, src); err != nil {
+		t.Fatal(err)
+	}
 	if w, r := dst.Counts(); w != 1 || r != 2 {
 		t.Fatalf("restored Counts = %d,%d; want 1,2", w, r)
 	}

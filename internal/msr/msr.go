@@ -134,13 +134,14 @@ type FaultHook func(op FaultOp, addr uint32) FaultClass
 // Device is an emulated MSR file for one package with n cores.
 // It is safe for concurrent use.
 type Device struct {
-	mu    sync.Mutex
-	cores int
+	mu sync.Mutex
+	// cores is construction configuration.
+	cores int `snap:"-"`
 	pkg   regFile
 	core  []regFile
 	// writeMask holds each whitelisted register's writable-bit mask; a
 	// register whose bit is unset is not writable at all.
-	writeMask regFile
+	writeMask regFile `snap:"-"`
 	writes    uint64
 	reads     uint64
 	// writeSeq counts successful whitelisted writes per register — the
@@ -149,7 +150,9 @@ type Device struct {
 	// must expire). Pokes are hardware-side and do not advance it.
 	writeSeq [numSlots]uint64
 
-	faultHook FaultHook
+	// faultHook is the fault layer's, installed by SetFaults on a resumed
+	// engine.
+	faultHook FaultHook `snap:"-"`
 	// stalePkg and staleCore hold, per register scope, the value returned
 	// by the previous successful read — what a FaultStale access serves.
 	stalePkg  regFile
@@ -461,7 +464,8 @@ func encodeTimeWindow(seconds float64, u Units) (y, z uint) {
 
 // EnergyCounter maintains a RAPL-style 32-bit wrapping energy counter.
 type EnergyCounter struct {
-	units Units
+	// units is construction configuration.
+	units Units  `snap:"-"`
 	raw   uint64 // full-resolution accumulated energy in energy units
 	frac  float64
 }

@@ -151,10 +151,12 @@ func (w msrWriter) WriteCap(now time.Duration, watts float64, window time.Durati
 // (the paper's tool acts once every second). The engine drives it with
 // Apply at each policy tick of virtual time.
 type Daemon struct {
-	writer   CapWriter
-	scheme   Scheme
-	interval time.Duration
-	window   time.Duration
+	// writer is wiring; scheme (a stateless value), interval and window
+	// are construction configuration.
+	writer   CapWriter     `snap:"-"`
+	scheme   Scheme        `snap:"-"`
+	interval time.Duration `snap:"-"`
+	window   time.Duration `snap:"-"`
 	start    time.Duration
 	started  bool
 	capTrace *trace.Series

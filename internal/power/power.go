@@ -219,8 +219,9 @@ func (m Model) powerAt(s NodeState, ff float64) Breakdown {
 // weighted moving average of package power, which is what the RAPL
 // controller regulates against.
 type Meter struct {
-	model   Model
-	tauSec  float64 // EWMA time constant
+	// model and tauSec are construction configuration.
+	model   Model   `snap:"-"`
+	tauSec  float64 `snap:"-"` // EWMA time constant
 	avgPkgW float64
 	havePkg bool
 	energyJ float64
@@ -234,10 +235,10 @@ type Meter struct {
 	// the float a fresh evaluation would. An operating point holds its
 	// P-state and the engine its step length for many calls in a row.
 	// They are pure functions of model, tauSec and the key, not state.
-	ffKey    uint64  // math.Float64bits of the last FreqMHz
-	ff       float64 // model.FreqFactor(FreqMHz)
-	decayKey uint64  // math.Float64bits of the last dtSec
-	decay    float64 // math.Exp(-dtSec / tauSec)
+	ffKey    uint64  `snap:"-"` // math.Float64bits of the last FreqMHz
+	ff       float64 `snap:"-"` // model.FreqFactor(FreqMHz)
+	decayKey uint64  `snap:"-"` // math.Float64bits of the last dtSec
+	decay    float64 `snap:"-"` // math.Exp(-dtSec / tauSec)
 }
 
 // NewMeter returns a meter using the model with the given averaging time

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"progresscap/internal/snap"
 )
 
 func TestDefaultModelValid(t *testing.T) {
@@ -280,7 +282,9 @@ func TestMeterMemoBitIdentical(t *testing.T) {
 	}
 
 	restored := NewMeter(m, tau)
-	restored.Restore(mt.Snapshot())
+	if _, err := snap.Copy(restored, mt); err != nil {
+		t.Fatal(err)
+	}
 	for i, step := range script {
 		a, b := mt.Observe(at(step.f), step.dt), restored.Observe(at(step.f), step.dt)
 		if !sameBrk(a, b) || !same(mt.AvgPkgW(), restored.AvgPkgW()) ||

@@ -114,10 +114,12 @@ type FaultHook func(op FaultOp, file string, now time.Duration) FaultClass
 // Zone is the emulated powercap control-zone directory for one
 // package. It is safe for concurrent use.
 type Zone struct {
-	mu    sync.Mutex
-	dev   *msr.Device
-	units msr.Units
-	hook  FaultHook
+	mu sync.Mutex
+	// dev is wiring, units construction configuration, and hook the
+	// run's fault layer's.
+	dev   *msr.Device `snap:"-"`
+	units msr.Units   `snap:"-"`
+	hook  FaultHook   `snap:"-"`
 
 	staleEnergy uint64
 	staleSeen   bool

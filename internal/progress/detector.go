@@ -21,8 +21,9 @@ type PhaseChange struct {
 // commits a phase change to the deviating samples' mean. Zero samples
 // (reporting artifacts) are ignored.
 type PhaseDetector struct {
-	relTol float64
-	minLen int
+	// relTol and minLen are construction configuration.
+	relTol float64 `snap:"-"`
+	minLen int     `snap:"-"`
 
 	n       int // samples offered (excluding zeros)
 	level   float64

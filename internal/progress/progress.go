@@ -95,7 +95,8 @@ func UnmarshalReport(b []byte) (Report, error) {
 // fresh strings per report. A Decoder is not safe for concurrent use;
 // each consumer (one per engine) owns its own.
 type Decoder struct {
-	names map[string]string
+	// names is a string-interning cache.
+	names map[string]string `snap:"-"`
 }
 
 // NewDecoder returns an empty interning decoder.
@@ -167,11 +168,12 @@ type BufferSource interface {
 // every completed unit of work (timestep, block, batch, GMRES iteration).
 // Publishing is lossy and non-blocking, like the paper's ZeroMQ sockets.
 type Reporter struct {
-	app   string
-	pub   Publisher
-	bufs  BufferSource // non-nil iff pub recycles payload buffers
+	// app and topic are construction configuration; pub and bufs wiring.
+	app   string       `snap:"-"`
+	pub   Publisher    `snap:"-"`
+	bufs  BufferSource `snap:"-"` // non-nil iff pub recycles payload buffers
 	sent  uint64
-	topic string
+	topic string `snap:"-"`
 }
 
 // NewReporter returns a reporter for the named application.
@@ -208,8 +210,10 @@ type Sample struct {
 // second". It is fed raw reports (from a bus subscription drain) and
 // closed out once per window by Flush.
 type Monitor struct {
-	window    time.Duration
-	pending   []Report
+	// window is construction configuration. pending is empty at any
+	// checkpoint: Checkpoint refuses unflushed reports.
+	window    time.Duration `snap:"-"`
+	pending   []Report      `snap:"-"`
 	samples   []Sample
 	total     float64
 	reports   uint64
@@ -226,8 +230,12 @@ type Monitor struct {
 	// medScratch is the sort buffer median reuses: the outlier guard runs
 	// once per accepted report, and a fresh 32-element copy per report was
 	// a measurable slice churn on the engine hot path.
-	medScratch []float64
+	medScratch []float64 `snap:"-"`
 }
+
+// Pending returns how many raw reports await the next Flush. The engine
+// requires zero before checkpointing.
+func (m *Monitor) Pending() int { return len(m.pending) }
 
 // historySize is the outlier-guard ring length; outlierMinHistory is how
 // many accepted values it needs before the guard engages (a cold monitor

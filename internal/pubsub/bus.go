@@ -9,8 +9,9 @@ import (
 // deterministic simulation engine drives it from a single goroutine.
 type Bus struct {
 	mu sync.Mutex
-	// subs is in subscription order, which is the delivery order.
-	subs       []*Subscription
+	// subs is in subscription order, which is the delivery order. It is
+	// wiring: a resumed engine subscribes its jobs itself.
+	subs       []*Subscription `snap:"-"`
 	published  uint64
 	dropped    uint64
 	topicDrops map[string]uint64
@@ -27,17 +28,32 @@ type Bus struct {
 // the subscription onto a channel of the full depth for consumers that
 // block on receive.
 type Subscription struct {
-	bus    *Bus
-	prefix string
-	depth  int
+	// bus is wiring; prefix and depth are construction configuration.
+	bus    *Bus   `snap:"-"`
+	prefix string `snap:"-"`
+	depth  int    `snap:"-"`
 	mu     sync.Mutex
 	// queue[head:] holds the buffered messages until C() is first
-	// called; ch holds them from then on.
-	queue   []Message
-	head    int
-	ch      chan Message
+	// called; ch holds them from then on. Both are empty at any
+	// checkpoint, which refuses undrained subscriptions, and a
+	// subscription is never closed during a run.
+	queue   []Message    `snap:"-"`
+	head    int          `snap:"-"`
+	ch      chan Message `snap:"-"`
 	dropped uint64
-	closed  bool
+	closed  bool `snap:"-"`
+}
+
+// Pending returns how many delivered messages are buffered and not yet
+// received. The engine requires zero before checkpointing: buffered
+// payloads alias recyclable buffers and do not survive a deep copy.
+func (s *Subscription) Pending() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ch != nil {
+		return len(s.ch)
+	}
+	return len(s.queue) - s.head
 }
 
 // NewBus returns an empty broker.

@@ -242,7 +242,8 @@ var errVerifyMismatch = errors.New("rapl: cap read-back mismatch (truncated or l
 const capVerifyTolW = 0.125 + 1e-9
 
 type backendState struct {
-	b               Backend
+	// b is wiring: backends are matched positionally.
+	b               Backend `snap:"-"`
 	health          Health
 	consecTransient int
 	cleanOps        int
@@ -254,8 +255,9 @@ type backendState struct {
 // with retry, verification, failover, and safe-cap parking. It is safe
 // for concurrent use.
 type Actuator struct {
-	mu       sync.Mutex
-	cfg      ActuatorConfig
+	mu sync.Mutex
+	// cfg is construction configuration.
+	cfg      ActuatorConfig `snap:"-"`
 	backends []*backendState
 	rng      *simtime.RNG
 	counters ActuatorCounters

@@ -66,13 +66,15 @@ func DefaultOptions() Options {
 
 // Controller is the emulated RAPL package-domain controller.
 type Controller struct {
-	dev        *msr.Device
-	domain     *cpu.Domain
-	uncore     *cpu.Uncore
-	model      power.Model
-	meter      *power.Meter
-	opts       Options
-	units      msr.Units
+	// dev, domain, uncore and meter are wiring; model, opts and units
+	// construction configuration.
+	dev        *msr.Device  `snap:"-"`
+	domain     *cpu.Domain  `snap:"-"`
+	uncore     *cpu.Uncore  `snap:"-"`
+	model      power.Model  `snap:"-"`
+	meter      *power.Meter `snap:"-"`
+	opts       Options      `snap:"-"`
+	units      msr.Units    `snap:"-"`
 	energy     *msr.EnergyCounter
 	dramEnergy *msr.EnergyCounter
 
@@ -92,7 +94,8 @@ type Controller struct {
 
 	// published is the PERF_STATUS ratio last poked into every core, valid
 	// once havePublished is set; publishStatus skips the per-core pokes
-	// while the ratio is unchanged.
+	// while the ratio is unchanged. A checkpoint copies it together with
+	// the device it describes.
 	published     uint64
 	havePublished bool
 
@@ -101,13 +104,13 @@ type Controller struct {
 	// exp(-dt/DemandTau): a memo keyed by its exact input, since the
 	// engine observes in runs of equal steps. It starts at dt = 0, where
 	// both decays are exp(-0) = 1.
-	decayDt     time.Duration
-	fastDecay   float64
-	demandDecay float64
+	decayDt     time.Duration `snap:"-"`
+	fastDecay   float64       `snap:"-"`
+	demandDecay float64       `snap:"-"`
 	// minFreqFactor is model.FreqFactor(MinMHz), the core floor's
 	// frequency scaling, fixed by the model and the domain's P-state
 	// range.
-	minFreqFactor float64
+	minFreqFactor float64 `snap:"-"`
 
 	// Quiescence tracking: uncappedIdle records that the last Control
 	// found no enabled PL1 limit (from a successful register read) and
@@ -479,7 +482,8 @@ func WriteLimitRetryN(dev *msr.Device, watts float64, window time.Duration) (ret
 // fail). This replaces cumulative-from-zero reads, which a mid-run seed
 // (SeedEnergy) or a 32-bit wrap silently corrupts.
 type EnergyReader struct {
-	dev     *msr.Device
+	// dev is wiring.
+	dev     *msr.Device `snap:"-"`
 	prevRaw uint64
 	primed  bool
 	totalJ  float64

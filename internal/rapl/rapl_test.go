@@ -8,6 +8,7 @@ import (
 	"progresscap/internal/cpu"
 	"progresscap/internal/msr"
 	"progresscap/internal/power"
+	"progresscap/internal/snap"
 	"progresscap/internal/stats"
 )
 
@@ -293,9 +294,9 @@ func TestPerfStatusPublishOnChange(t *testing.T) {
 
 	// The donor's registers lag its domain: a manual frequency change
 	// its next Control has yet to publish. Before the restore, the other
-	// controller had itself published that new frequency, so only a
-	// cleared cache makes its first Control after the restore poke the
-	// cores.
+	// controller had itself published that new frequency, so its first
+	// Control after the restore pokes the cores only if the copy carried
+	// the donor's publish cache along with the donor's registers.
 	donor := newRig(t)
 	donor.ctl.SetManual(true)
 	donor.domain.SetTargetMHz(2000)
@@ -306,11 +307,14 @@ func TestPerfStatusPublishOnChange(t *testing.T) {
 	restored.ctl.SetManual(true)
 	restored.domain.SetTargetMHz(1500)
 	restored.ctl.Control()
-	restored.dev.Restore(donor.dev.Snapshot())
-	restored.domain.Restore(donor.domain.Snapshot())
-	restored.uncore.Restore(donor.uncore.Snapshot())
-	restored.meter.Restore(donor.meter.Snapshot())
-	restored.ctl.Restore(donor.ctl.Snapshot())
+	for _, c := range [][2]any{
+		{restored.dev, donor.dev}, {restored.domain, donor.domain}, {restored.uncore, donor.uncore},
+		{restored.meter, donor.meter}, {restored.ctl, donor.ctl},
+	} {
+		if _, err := snap.Copy(c[0], c[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	restored.checkPerfStatus(t, 2000)
 
 	donor.ctl.Control()

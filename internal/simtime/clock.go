@@ -55,7 +55,8 @@ func (c *Clock) AdvanceTo(t time.Duration) {
 // virtual-time analogue of time.Ticker, used by the RAPL controller
 // (millisecond windows) and the policy daemon (1 Hz).
 type Ticker struct {
-	period time.Duration
+	// period is construction configuration.
+	period time.Duration `snap:"-"`
 	next   time.Duration
 }
 

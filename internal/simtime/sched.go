@@ -35,10 +35,14 @@ func (h *eventHeap) Pop() interface{} {
 
 // Scheduler is a deterministic event queue over virtual time. Events
 // scheduled for the same instant fire in the order they were scheduled.
+//
+// A checkpoint carries no scheduler state: queued callbacks are closures,
+// so engine checkpoints refuse a non-empty queue, and seq only breaks
+// ties between queued events. clock is wiring.
 type Scheduler struct {
-	clock *Clock
-	queue eventHeap
-	seq   int
+	clock *Clock    `snap:"-"`
+	queue eventHeap `snap:"-"`
+	seq   int       `snap:"-"`
 }
 
 // NewScheduler returns a scheduler driving the given clock.

@@ -89,11 +89,6 @@ type Harness struct {
 	// byte-identical at any setting — worker count never enters a
 	// scenario hash.
 	NodeWorkers int
-	// Forking lets single-node scenarios fork from pooled engine
-	// checkpoints where they share a simulation prefix (see
-	// experiments.RunSpec.Forking). An execution knob like NodeWorkers:
-	// oracle outcomes and scenario hashes are identical either way.
-	Forking bool
 }
 
 // New returns a harness over the given runner with the deliberate bug
@@ -151,7 +146,6 @@ func (h *Harness) runSingle(sc spec.Scenario, rep *Report) error {
 		Invariants: true,
 		Faults:     sc.Faults,
 		Backend:    sc.Operating.Backend,
-		Forking:    h.Forking,
 	}
 	res, err := h.runner().Do(rs)
 	if err != nil {

@@ -21,8 +21,9 @@ type Point struct {
 
 // Series is an append-only time series with a name and a unit label.
 type Series struct {
-	Name string
-	Unit string
+	// Name and Unit are construction configuration.
+	Name string `snap:"-"`
+	Unit string `snap:"-"`
 	pts  []Point
 }
 

@@ -181,11 +181,14 @@ func (l RankLoad) Busy() float64 { return l.WorkSeconds + l.SpinSeconds }
 // Exec executes a workload tick by tick. It is single-goroutine, owned by
 // the engine.
 type Exec struct {
-	w      *Workload
+	// w, bank and offset are construction configuration and wiring.
+	// Generators are closures with hidden state: Replay re-runs them, and
+	// only then may a copy overwrite the rest.
+	w      *Workload `snap:"-"`
 	rng    *simtime.RNG
-	bank   *counters.Bank
+	bank   *counters.Bank `snap:"-"`
 	ranks  []rankState
-	offset int // rank r retires instructions on core offset+r
+	offset int `snap:"-"` // rank r retires instructions on core offset+r
 
 	phaseIdx  int
 	iter      int
@@ -200,7 +203,7 @@ type Exec struct {
 
 	// compBuf backs StepOutput.Completions across Step calls so the hot
 	// loop does not allocate one slice per completed iteration.
-	compBuf []IterationEvent
+	compBuf []IterationEvent `snap:"-"`
 }
 
 // NewExec prepares an executor. The counter bank must cover at least
@@ -448,6 +451,67 @@ func (e *Exec) advance(now time.Duration) {
 		}
 	}
 	e.loadIteration(now)
+}
+
+// globalIter returns the executor's position as a count of completed
+// loadIteration calls after the constructor's: phase-by-phase iteration
+// order is fixed, so (phaseIdx, iter) maps to one replay count.
+func (e *Exec) globalIter(phaseIdx, iter int) (int, error) {
+	if phaseIdx < 0 || phaseIdx >= len(e.w.Phases) {
+		return 0, fmt.Errorf("workload %s: checkpoint phase %d outside [0,%d)", e.w.Name, phaseIdx, len(e.w.Phases))
+	}
+	if iter < 0 || iter >= e.w.Phases[phaseIdx].Iterations {
+		return 0, fmt.Errorf("workload %s: checkpoint iter %d outside phase %d", e.w.Name, iter, phaseIdx)
+	}
+	n := 0
+	for p := 0; p < phaseIdx; p++ {
+		n += e.w.Phases[p].Iterations
+	}
+	return n + iter, nil
+}
+
+// Replay positions a freshly constructed executor (same workload, seed
+// and offset, untouched since NewExecOffset) at to's iteration.
+// Generators are closures, some with hidden state (the apps' shared
+// jitter draws), so an executor cannot be deep-copied on its own:
+// loadIteration is the only place generators run and the RNG is drawn,
+// and it runs in a fixed (phase, iter) order, so replaying that sequence
+// reproduces both. The RNG landing is checked against to's: a mismatch
+// means the executor was not fresh or the workload or seed differs.
+// A deep copy of to then supplies the mid-iteration remainders, the
+// accounting and the anchors.
+func (e *Exec) Replay(to *Exec) error {
+	if len(to.ranks) != len(e.ranks) {
+		return fmt.Errorf("workload %s: checkpoint has %d ranks, executor %d", e.w.Name, len(to.ranks), len(e.ranks))
+	}
+	if e.phaseIdx != 0 || e.iter != 0 || e.at != 0 || e.done {
+		return fmt.Errorf("workload %s: replay onto a non-fresh executor", e.w.Name)
+	}
+	target := e.w.TotalIterations() // replay count when to is done
+	if !to.done {
+		var err error
+		target, err = e.globalIter(to.phaseIdx, to.iter)
+		if err != nil {
+			return err
+		}
+	}
+	// The constructor already ran loadIteration for global iteration 0;
+	// advance() runs it for each subsequent one (and flips done past the
+	// last). Replay with a zero timestamp: the copy overwrites iterStart.
+	for g := 0; g < target && !e.done; g++ {
+		e.advance(0)
+	}
+	if !to.done && (e.phaseIdx != to.phaseIdx || e.iter != to.iter) {
+		return fmt.Errorf("workload %s: replay landed at phase %d iter %d, checkpoint says %d/%d",
+			e.w.Name, e.phaseIdx, e.iter, to.phaseIdx, to.iter)
+	}
+	if e.done != to.done {
+		return fmt.Errorf("workload %s: replay done=%v, checkpoint done=%v", e.w.Name, e.done, to.done)
+	}
+	if *e.rng != *to.rng {
+		return fmt.Errorf("workload %s: replayed RNG diverges from checkpoint (different seed or workload?)", e.w.Name)
+	}
+	return nil
 }
 
 // Span describes the execution mix from the executor's current anchor
