@@ -364,6 +364,9 @@ func BenchmarkEngineTicksFixed(b *testing.B) { benchEngine(b, false, true) }
 // measured against.
 func BenchmarkEngineTicksCappedFixed(b *testing.B) { benchEngine(b, true, true) }
 
+// BenchmarkWorkloadStep is one macro-step of a 24-rank STREAM executor:
+// the stretch composition, then consumption up to the next workload
+// boundary, at most 100 µs away.
 func BenchmarkWorkloadStep(b *testing.B) {
 	w := apps.STREAM(apps.DefaultRanks, 1<<30)
 	bank := counters.NewBank(apps.DefaultRanks)
@@ -373,10 +376,13 @@ func BenchmarkWorkloadStep(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	now := time.Duration(0)
 	for i := 0; i < b.N; i++ {
-		now += 100 * time.Microsecond
-		e.Step(now, 100*time.Microsecond, 3.3e9, 1)
+		sp := e.Span(3.3e9, 1)
+		to := e.At() + 100*time.Microsecond
+		if sp.HasBoundary && sp.Boundary < to {
+			to = sp.Boundary
+		}
+		e.ConsumeTo(to, 3.3e9, 1)
 	}
 }
 

@@ -31,7 +31,7 @@ func measureMPO(t *testing.T, w *workload.Workload) float64 {
 	now := time.Duration(0)
 	for i := 0; i < 5_000_000 && !e.Done(); i++ {
 		now += tick
-		e.Step(now, tick, FMaxHz, 1)
+		e.ConsumeTo(now, FMaxHz, 1)
 	}
 	ins := float64(bank.Total(counters.TotIns))
 	if ins == 0 {

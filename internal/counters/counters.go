@@ -52,12 +52,12 @@ type ReadHook func(core int, e Event, v uint64) uint64
 //
 // A bank has one owning goroutine, the engine that built it, exactly as
 // that engine owns the workload executors that write it. Counters are
-// plain cells in a flat per-core/per-event array: Add sits on the
-// engine's hot path (up to one call per rank per event per integration
-// step), and no lock or atomic guards it. Writers on disjoint cores touch
-// disjoint cells, so they need no lock either; every other concurrent
-// use (a read racing a write, two writers on one core, SetReadHook
-// racing anything) must be ordered by the caller.
+// plain cells in a flat per-core/per-event array: writes through
+// CoreCells sit on the engine's hot path (up to one per rank per event
+// per integration step), and no lock or atomic guards them. Writers on
+// disjoint cores touch disjoint cells, so they need no lock either; every
+// other concurrent use (a read racing a write, two writers on one core,
+// SetReadHook racing anything) must be ordered by the caller.
 type Bank struct {
 	// cores is construction configuration; readHook is the fault layer's,
 	// installed by SetFaults on a resumed engine.
@@ -71,15 +71,15 @@ func NewBank(cores int) *Bank {
 	if cores <= 0 {
 		panic("counters: bank needs at least one core")
 	}
-	return &Bank{cores: cores, vals: make([]uint64, cores*int(numEvents))}
+	return &Bank{cores: cores, vals: make([]uint64, cores*Stride)}
 }
 
 // Cores returns the number of cores the bank covers.
 func (b *Bank) Cores() int { return b.cores }
 
 // SetReadHook installs (or, with nil, removes) the read-side fault hook.
-// Writers (Add) are never perturbed: the simulation's ground truth stays
-// intact; only observations degrade.
+// Writes through CoreCells are never perturbed: the simulation's ground
+// truth stays intact; only observations degrade.
 func (b *Bank) SetReadHook(h ReadHook) { b.readHook = h }
 
 // observe applies the read hook, if any.
@@ -96,12 +96,22 @@ func (b *Bank) cell(core int, e Event) int {
 	if core < 0 || core >= b.cores {
 		panic(fmt.Sprintf("counters: core %d outside bank of %d cores", core, b.cores))
 	}
-	return core*int(numEvents) + int(e)
+	return core*Stride + int(e)
 }
 
-// Add increments an event counter on a core.
-func (b *Bank) Add(core int, e Event, delta uint64) {
-	b.vals[b.cell(core, e)] += delta
+// Stride is the number of cells per core in a CoreCells view: core
+// first+i's event e is cell [i*Stride+int(e)].
+const Stride = int(numEvents)
+
+// CoreCells returns the counter cells of cores [first, first+n), the
+// bank's one write path. The view aliases the bank: writers add to its
+// cells directly, so a hot loop pays one bounds check per call instead of
+// one per write. It panics if the range leaves the bank.
+func (b *Bank) CoreCells(first, n int) []uint64 {
+	if first < 0 || n < 0 || first+n > b.cores {
+		panic(fmt.Sprintf("counters: cores [%d,%d) outside bank of %d cores", first, first+n, b.cores))
+	}
+	return b.vals[first*Stride : (first+n)*Stride]
 }
 
 // Read returns the current value of an event counter on a core.
@@ -113,7 +123,7 @@ func (b *Bank) Read(core int, e Event) uint64 {
 func (b *Bank) Total(e Event) uint64 {
 	var sum uint64
 	for c := 0; c < b.cores; c++ {
-		sum += b.observe(c, e, b.vals[c*int(numEvents)+int(e)])
+		sum += b.observe(c, e, b.vals[c*Stride+int(e)])
 	}
 	return sum
 }

@@ -8,9 +8,9 @@ import (
 
 func TestBankAddRead(t *testing.T) {
 	b := NewBank(4)
-	b.Add(0, TotIns, 100)
-	b.Add(0, TotIns, 50)
-	b.Add(3, TotIns, 25)
+	b.CoreCells(0, 1)[TotIns] += 100
+	b.CoreCells(0, 1)[TotIns] += 50
+	b.CoreCells(3, 1)[TotIns] += 25
 	if got := b.Read(0, TotIns); got != 150 {
 		t.Fatalf("Read = %d", got)
 	}
@@ -19,6 +19,33 @@ func TestBankAddRead(t *testing.T) {
 	}
 	if got := b.Total(L3TCM); got != 0 {
 		t.Fatalf("untouched Total = %d", got)
+	}
+}
+
+func TestCoreCellsView(t *testing.T) {
+	b := NewBank(4)
+	c := b.CoreCells(1, 2)
+	if len(c) != 2*Stride {
+		t.Fatalf("len = %d, want %d", len(c), 2*Stride)
+	}
+	c[Stride+int(L3TCM)] += 7 // core 2
+	c[int(TotIns)] += 3       // core 1
+	if b.Read(2, L3TCM) != 7 || b.Read(1, TotIns) != 3 || b.Total(TotIns) != 3 {
+		t.Fatalf("view writes landed elsewhere: core2 L3 %d, core1 ins %d, total ins %d",
+			b.Read(2, L3TCM), b.Read(1, TotIns), b.Total(TotIns))
+	}
+	if got := len(b.CoreCells(4, 0)); got != 0 {
+		t.Fatalf("empty view len = %d", got)
+	}
+	for _, r := range [][2]int{{-1, 1}, {0, -1}, {3, 2}, {0, 5}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("CoreCells(%d, %d) did not panic", r[0], r[1])
+				}
+			}()
+			b.CoreCells(r[0], r[1])
+		}()
 	}
 }
 
@@ -39,7 +66,7 @@ func TestBankConcurrentAdd(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				b.Add(c, TotCyc, 1)
+				b.CoreCells(c, 1)[TotCyc]++
 			}
 		}(c)
 	}
@@ -51,12 +78,12 @@ func TestBankConcurrentAdd(t *testing.T) {
 
 func TestEventSetDeltas(t *testing.T) {
 	b := NewBank(2)
-	b.Add(0, TotIns, 1000) // pre-existing counts must not leak into deltas
+	b.CoreCells(0, 1)[TotIns] += 1000 // pre-existing counts must not leak into deltas
 	es := NewEventSet(b, TotIns, L3TCM)
 	es.Start(0)
-	b.Add(0, TotIns, 500)
-	b.Add(1, TotIns, 500)
-	b.Add(1, L3TCM, 10)
+	b.CoreCells(0, 1)[TotIns] += 500
+	b.CoreCells(1, 1)[TotIns] += 500
+	b.CoreCells(1, 1)[L3TCM] += 10
 	r := es.Stop(2 * time.Second)
 	if r.Deltas[TotIns] != 1000 {
 		t.Fatalf("TotIns delta = %d", r.Deltas[TotIns])

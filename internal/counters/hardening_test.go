@@ -7,8 +7,8 @@ import (
 
 func TestReadHookPerturbsObservationsOnly(t *testing.T) {
 	b := NewBank(2)
-	b.Add(0, TotIns, 100)
-	b.Add(1, TotIns, 100)
+	b.CoreCells(0, 1)[TotIns] += 100
+	b.CoreCells(1, 1)[TotIns] += 100
 	b.SetReadHook(func(core int, e Event, v uint64) uint64 { return v * 2 })
 	if got := b.Read(0, TotIns); got != 200 {
 		t.Fatalf("hooked Read = %d, want 200", got)
@@ -31,7 +31,7 @@ func TestStopModularAcrossWraparound(t *testing.T) {
 	b.SetReadHook(func(core int, e Event, v uint64) uint64 { return v + offset })
 	s := NewEventSet(b, TotIns)
 	s.Start(0)
-	b.Add(0, TotIns, 5000) // observed counter wraps 64 bits mid-interval
+	b.CoreCells(0, 1)[TotIns] += 5000 // observed counter wraps 64 bits mid-interval
 	r := s.Stop(time.Second)
 	if got := r.Deltas[TotIns]; got != 5000 {
 		t.Fatalf("wrapped delta = %d, want 5000 (modular subtraction)", got)
@@ -43,7 +43,7 @@ func TestStopModularAcrossWraparound(t *testing.T) {
 
 func TestStopClampsImplausibleDeltas(t *testing.T) {
 	b := NewBank(1)
-	b.Add(0, TotIns, 1000)
+	b.CoreCells(0, 1)[TotIns] += 1000
 	s := NewEventSet(b, TotIns, TotCyc)
 	s.Start(0)
 	// A glitch hook makes the second observation a colossal spike —
@@ -54,8 +54,8 @@ func TestStopClampsImplausibleDeltas(t *testing.T) {
 		}
 		return v
 	})
-	b.Add(0, TotIns, 500)
-	b.Add(0, TotCyc, 2000)
+	b.CoreCells(0, 1)[TotIns] += 500
+	b.CoreCells(0, 1)[TotCyc] += 2000
 	r := s.Stop(time.Second)
 	if got := r.Deltas[TotIns]; got != 0 {
 		t.Fatalf("implausible delta = %d, want clamped to 0", got)

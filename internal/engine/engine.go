@@ -825,7 +825,7 @@ func (e *Engine) consume(to time.Duration, effHz, memFactor float64) bool {
 	e.span.valid = false
 	completed := false
 	for _, j := range e.jobs {
-		for _, ev := range j.exec.ConsumeTo(to, effHz, memFactor) {
+		if ev, ok := j.exec.ConsumeTo(to, effHz, memFactor); ok {
 			completed = true
 			j.reporter.Publish(ev.Phase, ev.Progress, ev.At)
 			j.res.WorkUnits += ev.WorkUnits

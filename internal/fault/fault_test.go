@@ -178,7 +178,7 @@ func TestMSRHookEIOAndStale(t *testing.T) {
 
 func TestCounterHookGlitchAndOverflow(t *testing.T) {
 	bank := counters.NewBank(1)
-	bank.Add(0, counters.TotIns, 1000)
+	bank.CoreCells(0, 1)[counters.TotIns] += 1000
 	inj := NewInjector(Plan{Seed: 5, Counters: CounterPlan{GlitchRate: 1.0, GlitchScale: 10}})
 	bank.SetReadHook(inj.Counters().Hook())
 	a := bank.Read(0, counters.TotIns) // spike
@@ -194,7 +194,7 @@ func TestCounterHookGlitchAndOverflow(t *testing.T) {
 	}
 
 	bank2 := counters.NewBank(1)
-	bank2.Add(0, counters.TotIns, 100)
+	bank2.CoreCells(0, 1)[counters.TotIns] += 100
 	inj2 := NewInjector(Plan{Counters: CounterPlan{OverflowOffset: ^uint64(0) - 50}})
 	bank2.SetReadHook(inj2.Counters().Hook())
 	if v := bank2.Read(0, counters.TotIns); v != 49 {

@@ -29,9 +29,12 @@ type pubConn struct {
 	conn net.Conn
 	out  chan Message
 
+	// mu guards the fields below and every send on out: dropConn closes
+	// out under it, so no send can race the close.
 	mu       sync.Mutex
 	prefixes []string
 	dropped  uint64
+	closed   bool // out is closed; Publish skips the connection
 }
 
 // NewPublisher starts a publisher listening on addr (e.g. "127.0.0.1:0").
@@ -102,27 +105,46 @@ func (p *Publisher) writeLoop(pc *pubConn) {
 	}
 }
 
+// dropConn tears a connection down once, however many paths (read
+// error, write error, kick, close) reach it.
 func (p *Publisher) dropConn(pc *pubConn) {
 	pc.mu.Lock()
+	if pc.closed {
+		pc.mu.Unlock()
+		return
+	}
 	shed := pc.dropped
+	pc.closed = true
+	close(pc.out)
 	pc.mu.Unlock()
 	p.mu.Lock()
-	_, live := p.conns[pc]
 	delete(p.conns, pc)
-	if live {
-		p.dropped++
-		p.lostDrops += shed
-	}
+	p.dropped++
+	p.lostDrops += shed
 	p.mu.Unlock()
-	if live {
-		pc.conn.Close()
-		close(pc.out)
+	pc.conn.Close()
+}
+
+// offer queues m on a live connection subscribed to its topic without
+// blocking, counting a drop when the queue is full. It reports whether m
+// was queued.
+func (pc *pubConn) offer(m Message) bool {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if !pc.matches(m.Topic) || pc.closed {
+		return false
+	}
+	select {
+	case pc.out <- m:
+		return true
+	default:
+		pc.dropped++
+		return false
 	}
 }
 
+// matches reports whether topic has a registered prefix; pc.mu is held.
 func (pc *pubConn) matches(topic string) bool {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
 	for _, pre := range pc.prefixes {
 		if len(topic) >= len(pre) && topic[:len(pre)] == pre {
 			return true
@@ -143,16 +165,8 @@ func (p *Publisher) Publish(m Message) int {
 
 	delivered := 0
 	for _, pc := range conns {
-		if !pc.matches(m.Topic) {
-			continue
-		}
-		select {
-		case pc.out <- m:
+		if pc.offer(m) {
 			delivered++
-		default:
-			pc.mu.Lock()
-			pc.dropped++
-			pc.mu.Unlock()
 		}
 	}
 	return delivered

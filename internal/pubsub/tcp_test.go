@@ -155,6 +155,50 @@ func TestTCPSubscriberCloseStopsDelivery(t *testing.T) {
 	}
 }
 
+// TestTCPPublishRacesDrop publishes from one goroutine while another
+// tears every connection down: a send must never meet a closed queue
+// (under -race, never even race its close).
+func TestTCPPublishRacesDrop(t *testing.T) {
+	p, err := NewPublisher("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for i := 0; i < 4; i++ {
+		s, err := Dial(p.Addr(), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		go func() { // C closes once the kicked connection's read loop ends
+			for range s.C() {
+			}
+		}()
+	}
+	waitSubs(t, p, 4)
+	stop := make(chan struct{})
+	published := make(chan struct{})
+	go func() {
+		defer close(published)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				p.Publish(Message{Topic: "t"})
+			}
+		}
+	}()
+	if n := p.KickAll(); n != 4 {
+		t.Errorf("KickAll dropped %d connections, want 4", n)
+	}
+	close(stop)
+	<-published
+	if st := p.Stats(); st.ConnsLost != 4 || st.Live != 0 {
+		t.Fatalf("after KickAll: %d connections lost, %d live; want 4, 0", st.ConnsLost, st.Live)
+	}
+}
+
 func TestTCPPublisherCloseClosesSubscribers(t *testing.T) {
 	p, err := NewPublisher("127.0.0.1:0")
 	if err != nil {

@@ -21,7 +21,7 @@ func TestTickSizeInvariance(t *testing.T) {
 		now := time.Duration(0)
 		for i := 0; i < 10_000_000 && !e.Done(); i++ {
 			now += tick
-			e.Step(now, tick, 3.3e9, 1)
+			e.ConsumeTo(now, 3.3e9, 1)
 		}
 		return now.Seconds()
 	}
@@ -45,7 +45,7 @@ func TestCounterConservation(t *testing.T) {
 		now := time.Duration(0)
 		for !e.Done() {
 			now += 100 * time.Microsecond
-			e.Step(now, 100*time.Microsecond, hz, 1)
+			e.ConsumeTo(now, hz, 1)
 		}
 		workInstr := float64(2 * iters * 5e7)
 		spin := 0.0

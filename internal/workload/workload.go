@@ -134,27 +134,6 @@ type IterationEvent struct {
 	Duration  time.Duration
 }
 
-// StepOutput aggregates what happened during one engine tick, in the form
-// the power model needs.
-type StepOutput struct {
-	// Engaged is the number of ranks that spent any part of the tick
-	// computing, stalled on memory, or spinning (their cores are active).
-	Engaged int
-	// Sleeping is the number of ranks blocked in sleep for the whole
-	// tick (their cores idle).
-	Sleeping int
-	// Activity is the mean fraction of the tick engaged ranks spent
-	// executing instructions (compute or spin) rather than stalled.
-	Activity float64
-	// BWUtil is the aggregate uncore bandwidth demand in [0,1].
-	BWUtil float64
-	// Completions lists iterations that finished during this tick. The
-	// slice aliases a buffer owned by the Exec and is overwritten by the
-	// next Step call; callers that retain events across ticks must copy
-	// the elements (the elements themselves are plain values).
-	Completions []IterationEvent
-}
-
 type rankState struct {
 	seg       Segment
 	remCycles float64
@@ -167,8 +146,8 @@ type rankState struct {
 // RankLoad is one rank's cumulative time accounting, the per-processing-
 // element view of progress the paper's future work calls for. The spin
 // share exposes load imbalance at runtime: a balanced application spins
-// only at tick granularity, an imbalanced one burns real time at the
-// barrier.
+// only for the rounding residue of a stretch, an imbalanced one burns
+// real time at the barrier.
 type RankLoad struct {
 	WorkSeconds  float64 // compute + memory-stall time
 	SpinSeconds  float64 // barrier busy-wait
@@ -178,8 +157,8 @@ type RankLoad struct {
 // Busy returns work + spin (the time the core was powered and active).
 func (l RankLoad) Busy() float64 { return l.WorkSeconds + l.SpinSeconds }
 
-// Exec executes a workload tick by tick. It is single-goroutine, owned by
-// the engine.
+// Exec executes a workload stretch by stretch (Span, then ConsumeTo). It
+// is single-goroutine, owned by the engine.
 type Exec struct {
 	// w, bank and offset are construction configuration and wiring.
 	// Generators are closures with hidden state: Replay re-runs them, and
@@ -195,15 +174,9 @@ type Exec struct {
 	iterStart time.Duration
 	done      bool
 
-	// at is the instant the executor has consumed up to (the anchor of
-	// the event-driven ConsumeTo/Span API). The legacy Step entry point
-	// does not maintain it; an executor is driven through exactly one of
-	// the two interfaces.
+	// at is the instant the executor has consumed up to: the anchor
+	// Span measures from and ConsumeTo integrates from.
 	at time.Duration
-
-	// compBuf backs StepOutput.Completions across Step calls so the hot
-	// loop does not allocate one slice per completed iteration.
-	compBuf []IterationEvent `snap:"-"`
 }
 
 // NewExec prepares an executor. The counter bank must cover at least
@@ -259,13 +232,12 @@ func (e *Exec) loadIteration(startAt time.Duration) {
 		if err := seg.Validate(); err != nil {
 			panic(fmt.Sprintf("workload %s phase %s rank %d iter %d: %v", e.w.Name, p.Name, r, e.iter, err))
 		}
-		e.ranks[r] = rankState{
-			seg:       seg,
-			remCycles: seg.ComputeCycles,
-			remMem:    seg.MemSeconds,
-			remSleep:  seg.SleepSeconds,
-			load:      e.ranks[r].load,
-		}
+		rs := &e.ranks[r]
+		rs.seg = seg
+		rs.remCycles = seg.ComputeCycles
+		rs.remMem = seg.MemSeconds
+		rs.remSleep = seg.SleepSeconds
+		rs.finished = false
 	}
 	e.iterStart = startAt
 }
@@ -301,142 +273,6 @@ func ImbalanceIndex(loads []RankLoad) float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// Step advances the workload by one tick ending at virtual time now,
-// of length dt, with the package running at effective frequency effHz
-// (P-state × duty, in Hz) and memory time inflated by memFactor (>= 1 at
-// full bandwidth grant). It updates hardware counters and returns the
-// tick aggregate.
-func (e *Exec) Step(now time.Duration, dt time.Duration, effHz, memFactor float64) StepOutput {
-	var out StepOutput
-	if e.done {
-		out.Sleeping = len(e.ranks)
-		return out
-	}
-	if effHz <= 0 || memFactor < 1 {
-		panic(fmt.Sprintf("workload: bad operating point effHz=%v memFactor=%v", effHz, memFactor))
-	}
-	dtSec := dt.Seconds()
-	if dtSec <= 0 {
-		panic("workload: non-positive tick")
-	}
-
-	allFinished := true
-	var activitySum float64
-	for r := range e.ranks {
-		rs := &e.ranks[r]
-		budget := dtSec
-		var computeT, memT, spinT, sleepT float64
-		var instr, misses float64
-
-		if !rs.finished {
-			// 1. Blocked sleep: consumes tick budget with the core idle.
-			if rs.remSleep > 0 {
-				s := rs.remSleep
-				if s > budget {
-					s = budget
-				}
-				rs.remSleep -= s
-				sleepT = s
-				budget -= s
-			}
-			// 2. Interleaved compute + memory.
-			if budget > 0 && (rs.remCycles > 0 || rs.remMem > 0) {
-				rc := rs.remCycles / effHz
-				rm := rs.remMem * memFactor
-				rt := rc + rm
-				u := rt
-				if u > budget {
-					u = budget
-				}
-				x := 0.0
-				if rt > 0 {
-					x = u / rt
-				}
-				cycUsed := rs.remCycles * x
-				memUsed := rs.remMem * x
-				rs.remCycles -= cycUsed
-				rs.remMem -= memUsed
-				computeT = rc * x
-				memT = rm * x
-				budget -= u
-				if rs.seg.ComputeCycles > 0 {
-					instr += rs.seg.Instructions * (cycUsed / rs.seg.ComputeCycles)
-				}
-				if rs.seg.MemSeconds > 0 {
-					misses += rs.seg.L3Misses * (memUsed / rs.seg.MemSeconds)
-				}
-			}
-			if rs.remSleep <= 1e-15 && rs.remCycles <= 1e-6 && rs.remMem <= 1e-15 {
-				rs.finished = true
-			}
-		}
-		// 3. Barrier busy-wait for the rest of the tick.
-		if rs.finished && budget > 0 {
-			spinT = budget
-			instr += spinT * effHz * SpinIPC
-		}
-		if !rs.finished {
-			allFinished = false
-		}
-
-		// Counter updates.
-		core := e.offset + r
-		if instr > 0 {
-			e.bank.Add(core, counters.TotIns, uint64(instr))
-		}
-		if misses > 0 {
-			e.bank.Add(core, counters.L3TCM, uint64(misses))
-		}
-		if cyc := (computeT + spinT) * effHz; cyc > 0 {
-			e.bank.Add(core, counters.TotCyc, uint64(cyc))
-		}
-		if stall := memT * effHz; stall > 0 {
-			e.bank.Add(core, counters.StallCyc, uint64(stall))
-		}
-
-		// Per-rank load accounting.
-		rs.load.WorkSeconds += computeT + memT
-		rs.load.SpinSeconds += spinT
-		rs.load.SleepSeconds += sleepT
-
-		// Power-model aggregates.
-		active := computeT + memT + spinT
-		if active > 0 {
-			out.Engaged++
-			activitySum += (computeT + spinT) / dtSec
-			out.BWUtil += (memT / dtSec) * rs.seg.BWShare
-		} else {
-			out.Sleeping++
-		}
-	}
-	if out.Engaged > 0 {
-		out.Activity = activitySum / float64(out.Engaged)
-	}
-	if out.BWUtil > 1 {
-		out.BWUtil = 1
-	}
-
-	if allFinished {
-		p := e.w.Phases[e.phaseIdx]
-		var units float64
-		for r := range e.ranks {
-			units += e.ranks[r].seg.WorkUnits
-		}
-		e.compBuf = append(e.compBuf[:0], IterationEvent{
-			At:        now,
-			Phase:     p.Name,
-			PhaseIdx:  e.phaseIdx,
-			Iter:      e.iter,
-			Progress:  p.ProgressPerIter,
-			WorkUnits: units,
-			Duration:  now - e.iterStart,
-		})
-		out.Completions = e.compBuf
-		e.advance(now)
-	}
-	return out
 }
 
 // advance moves to the next iteration or phase, or marks completion.
@@ -521,8 +357,9 @@ func (e *Exec) Replay(to *Exec) error {
 // power over any part of the stretch from one Span, and defer ConsumeTo
 // to the stretch's end.
 type Span struct {
-	// Engaged / Sleeping partition the ranks exactly as StepOutput does
-	// for any tick inside the stretch.
+	// Engaged / Sleeping partition the ranks: a rank is engaged while it
+	// computes, stalls on memory or spins at the barrier, and sleeping
+	// while it is blocked, for the whole stretch.
 	Engaged  int
 	Sleeping int
 	// ActivitySum is the summed active (compute or spin, vs memory stall)
@@ -545,7 +382,7 @@ func (e *Exec) At() time.Duration { return e.at }
 // boundary instant, rounding up to the nanosecond grid so consuming up to
 // the boundary covers at least the full remainder. The 1 ns floor
 // guarantees forward progress: sub-nanosecond residue (from the rounding
-// itself) resolves on the next stride via the Step finish epsilons.
+// itself) resolves on the next stride via ConsumeTo's finish epsilons.
 func (e *Exec) boundaryIn(sec float64) time.Duration {
 	d := time.Duration(math.Ceil(sec * 1e9))
 	if d < 1 {
@@ -607,27 +444,142 @@ func (e *Exec) Span(effHz, memFactor float64) Span {
 }
 
 // ConsumeTo advances the executor from its anchor to the absolute instant
-// to in a single analytic step, returning iterations completed exactly at
-// to. The caller must not advance past the Span boundary computed at the
-// same operating point — inside that stretch each rank stays within one
-// part (sleep, compute+memory, or spin) and the consumed amounts are
-// linear in elapsed time, so one Step over the whole interval equals any
-// subdivision of it up to float rounding. Results are reproducible only
-// if callers consume at the same instants: the engine does so at
-// workload boundaries, window edges, operating-point changes and the end
-// of a run, never at instants that depend on how it steps. Completions
-// alias the executor's internal buffer exactly as StepOutput.Completions
-// does.
-func (e *Exec) ConsumeTo(to time.Duration, effHz, memFactor float64) []IterationEvent {
+// to in a single analytic step at effective core frequency effHz
+// (P-state × duty, in Hz) and memory-time inflation memFactor (>= 1 at
+// full bandwidth grant). It retires each rank's sleep, then its
+// interleaved compute and memory, then barrier spin for whatever is left
+// of the interval; it updates the ranks' counters and load accounting and
+// reports the iteration completed at to, if any (at most one: the next
+// iteration starts at to).
+//
+// Inside one Span stretch each rank stays within one part (sleep,
+// compute+memory, or spin) and the consumed amounts are linear in
+// elapsed time, so one call over the whole stretch equals any
+// subdivision of it up to float rounding. A call may also cross a
+// boundary, as a fixed-tick walk does; the rank then moves on to the next
+// part within the call, and an iteration whose last rank finishes inside
+// the interval completes at to. Results are reproducible only if callers
+// consume at the same instants: the engine does so at workload
+// boundaries, window edges, operating-point changes and the end of a
+// run, never at instants that depend on how it steps.
+func (e *Exec) ConsumeTo(to time.Duration, effHz, memFactor float64) (IterationEvent, bool) {
 	if to < e.at {
 		panic(fmt.Sprintf("workload: ConsumeTo moved backwards: at %v, asked for %v", e.at, to))
 	}
 	if to == e.at {
-		return nil
+		return IterationEvent{}, false
 	}
-	out := e.Step(to, to-e.at, effHz, memFactor)
+	if e.done {
+		e.at = to
+		return IterationEvent{}, false
+	}
+	if effHz <= 0 || memFactor < 1 {
+		panic(fmt.Sprintf("workload: bad operating point effHz=%v memFactor=%v", effHz, memFactor))
+	}
+	dtSec := (to - e.at).Seconds()
+	if dtSec <= 0 {
+		panic("workload: non-positive interval")
+	}
+
+	const stride = counters.Stride
+	cells := e.bank.CoreCells(e.offset, len(e.ranks))
+	allFinished := true
+	for r := range e.ranks {
+		rs := &e.ranks[r]
+		c := cells[r*stride : r*stride+stride : r*stride+stride]
+		budget := dtSec
+		var computeT, memT, spinT, sleepT float64
+		var instr, misses float64
+
+		if !rs.finished {
+			// 1. Blocked sleep: consumes the budget with the core idle.
+			if rs.remSleep > 0 {
+				s := rs.remSleep
+				if s > budget {
+					s = budget
+				}
+				rs.remSleep -= s
+				sleepT = s
+				budget -= s
+			}
+			// 2. Interleaved compute + memory.
+			if budget > 0 && (rs.remCycles > 0 || rs.remMem > 0) {
+				rc := rs.remCycles / effHz
+				rm := rs.remMem * memFactor
+				rt := rc + rm
+				u := rt
+				if u > budget {
+					u = budget
+				}
+				x := 0.0
+				if rt > 0 {
+					x = u / rt
+				}
+				cycUsed := rs.remCycles * x
+				memUsed := rs.remMem * x
+				rs.remCycles -= cycUsed
+				rs.remMem -= memUsed
+				computeT = rc * x
+				memT = rm * x
+				budget -= u
+				if rs.seg.ComputeCycles > 0 {
+					instr += rs.seg.Instructions * (cycUsed / rs.seg.ComputeCycles)
+				}
+				if rs.seg.MemSeconds > 0 {
+					misses += rs.seg.L3Misses * (memUsed / rs.seg.MemSeconds)
+				}
+			}
+			if rs.remSleep <= 1e-15 && rs.remCycles <= 1e-6 && rs.remMem <= 1e-15 {
+				rs.finished = true
+			}
+		}
+		// 3. Barrier busy-wait for the rest of the interval.
+		if rs.finished && budget > 0 {
+			spinT = budget
+			instr += spinT * effHz * SpinIPC
+		}
+		if !rs.finished {
+			allFinished = false
+		}
+
+		if instr > 0 {
+			c[counters.TotIns] += uint64(instr)
+		}
+		if misses > 0 {
+			c[counters.L3TCM] += uint64(misses)
+		}
+		if cyc := (computeT + spinT) * effHz; cyc > 0 {
+			c[counters.TotCyc] += uint64(cyc)
+		}
+		if stall := memT * effHz; stall > 0 {
+			c[counters.StallCyc] += uint64(stall)
+		}
+
+		rs.load.WorkSeconds += computeT + memT
+		rs.load.SpinSeconds += spinT
+		rs.load.SleepSeconds += sleepT
+	}
+
+	var ev IterationEvent
+	if allFinished {
+		p := &e.w.Phases[e.phaseIdx]
+		var units float64
+		for r := range e.ranks {
+			units += e.ranks[r].seg.WorkUnits
+		}
+		ev = IterationEvent{
+			At:        to,
+			Phase:     p.Name,
+			PhaseIdx:  e.phaseIdx,
+			Iter:      e.iter,
+			Progress:  p.ProgressPerIter,
+			WorkUnits: units,
+			Duration:  to - e.iterStart,
+		}
+		e.advance(to)
+	}
 	e.at = to
-	return out.Completions
+	return ev, allFinished
 }
 
 // SubsetPhase returns a copy of the workload containing only the named

@@ -23,16 +23,18 @@ func simpleWorkload(ranks, iters int, seg Segment) *Workload {
 	}
 }
 
-// runToCompletion steps the exec at a fixed operating point and returns
-// all completion events and the total virtual time.
+// runToCompletion walks the exec in fixed ticks at a fixed operating
+// point, crossing Span boundaries inside ticks, and returns all
+// completion events and the total virtual time.
 func runToCompletion(t *testing.T, e *Exec, tick time.Duration, effHz, memFactor float64) ([]IterationEvent, time.Duration) {
 	t.Helper()
 	var events []IterationEvent
 	now := time.Duration(0)
 	for i := 0; i < 10_000_000 && !e.Done(); i++ {
 		now += tick
-		out := e.Step(now, tick, effHz, memFactor)
-		events = append(events, out.Completions...)
+		if ev, ok := e.ConsumeTo(now, effHz, memFactor); ok {
+			events = append(events, ev)
+		}
 	}
 	if !e.Done() {
 		t.Fatal("workload did not complete")
@@ -212,9 +214,9 @@ func TestExecSleepIsFrequencyIndependent(t *testing.T) {
 func TestExecSleepingRanksReportedIdle(t *testing.T) {
 	w := simpleWorkload(2, 1, Segment{SleepSeconds: 1})
 	e, _ := NewExec(w, counters.NewBank(2), 1)
-	out := e.Step(time.Millisecond, time.Millisecond, 3.3e9, 1)
-	if out.Sleeping != 2 || out.Engaged != 0 {
-		t.Fatalf("sleeping=%d engaged=%d, want 2,0", out.Sleeping, out.Engaged)
+	sp := e.Span(3.3e9, 1)
+	if sp.Sleeping != 2 || sp.Engaged != 0 {
+		t.Fatalf("sleeping=%d engaged=%d, want 2,0", sp.Sleeping, sp.Engaged)
 	}
 }
 
@@ -223,12 +225,12 @@ func TestExecActivityReflectsMemoryStall(t *testing.T) {
 	seg := Segment{ComputeCycles: 1e9, MemSeconds: 1, Instructions: 1e9, BWShare: 1}
 	w := simpleWorkload(1, 1, seg)
 	e, _ := NewExec(w, counters.NewBank(1), 1)
-	out := e.Step(time.Millisecond, time.Millisecond, 1e9, 1)
-	if math.Abs(out.Activity-0.5) > 0.01 {
-		t.Fatalf("activity = %v, want ~0.5", out.Activity)
+	sp := e.Span(1e9, 1)
+	if activity := sp.ActivitySum / float64(sp.Engaged); math.Abs(activity-0.5) > 0.01 {
+		t.Fatalf("activity = %v, want ~0.5", activity)
 	}
-	if math.Abs(out.BWUtil-0.5) > 0.01 {
-		t.Fatalf("bw util = %v, want ~0.5", out.BWUtil)
+	if math.Abs(sp.BWUtil-0.5) > 0.01 {
+		t.Fatalf("bw util = %v, want ~0.5", sp.BWUtil)
 	}
 }
 
@@ -278,11 +280,18 @@ func TestExecWorkUnitsSummedAcrossRanks(t *testing.T) {
 
 func TestExecStepAfterDoneIsIdle(t *testing.T) {
 	w := simpleWorkload(2, 1, Segment{ComputeCycles: 1e3, Instructions: 1e3})
-	e, _ := NewExec(w, counters.NewBank(2), 1)
+	bank := counters.NewBank(2)
+	e, _ := NewExec(w, bank, 1)
 	runToCompletion(t, e, time.Millisecond, 1e9, 1)
-	out := e.Step(time.Hour, time.Millisecond, 1e9, 1)
-	if out.Engaged != 0 || len(out.Completions) != 0 || out.Sleeping != 2 {
-		t.Fatalf("post-done step = %+v", out)
+	ins := bank.Total(counters.TotIns)
+	if ev, ok := e.ConsumeTo(time.Hour, 1e9, 1); ok {
+		t.Fatalf("post-done consume completed %+v", ev)
+	}
+	if got := bank.Total(counters.TotIns); got != ins {
+		t.Fatalf("post-done consume retired %d instructions", got-ins)
+	}
+	if sp := e.Span(1e9, 1); sp.Engaged != 0 || sp.Sleeping != 2 || sp.HasBoundary {
+		t.Fatalf("post-done span = %+v", sp)
 	}
 }
 
@@ -294,7 +303,7 @@ func TestExecBadOperatingPointPanics(t *testing.T) {
 			t.Fatal("memFactor < 1 did not panic")
 		}
 	}()
-	e.Step(time.Millisecond, time.Millisecond, 1e9, 0.5)
+	e.ConsumeTo(time.Millisecond, 1e9, 0.5)
 }
 
 func TestExecBankTooSmall(t *testing.T) {
