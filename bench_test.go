@@ -235,8 +235,7 @@ func BenchmarkClusterEpochParallel(b *testing.B) { benchClusterEpochs(b, 0) }
 
 // BenchmarkCheckpointResume prices the fork substrate itself: one deep
 // Checkpoint of a capped mid-run engine plus one Resume onto a freshly
-// constructed twin (engine construction is off the clock; the replayed
-// generator calls inside Resume are part of its honest cost).
+// constructed twin (engine construction is off the clock).
 func BenchmarkCheckpointResume(b *testing.B) {
 	mk := func() *engine.Engine {
 		cfg := engine.DefaultConfig()

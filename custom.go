@@ -115,15 +115,14 @@ func (a CustomApp) build() (*workload.Workload, error) {
 		}
 		durSec := p.Period.Seconds()
 		beta := p.Beta
-		jitAmp := p.Jitter
 		rankAmp := p.RankImbalance
-		shared := sharedJitterFor(jitAmp)
 		w.Phases = append(w.Phases, workload.Phase{
 			Name:            name,
 			Iterations:      p.Iterations,
 			ProgressPerIter: progressPer,
-			Gen: func(rank, iter int, rng *simtime.RNG) workload.Segment {
-				d := durSec * shared(rank, iter, rng)
+			SharedJitter:    p.Jitter,
+			Gen: func(rank, iter int, shared float64, rng *simtime.RNG) workload.Segment {
+				d := durSec * shared
 				if rankAmp > 0 {
 					d *= rng.Jitter(rankAmp)
 				}
@@ -145,23 +144,6 @@ func (a CustomApp) build() (*workload.Workload, error) {
 		return nil, err
 	}
 	return w, nil
-}
-
-// sharedJitterFor mirrors the internal apps' shared per-iteration jitter:
-// one multiplicative draw per iteration, reused by every rank.
-func sharedJitterFor(amp float64) func(rank, iter int, rng *simtime.RNG) float64 {
-	cur := -1
-	val := 1.0
-	return func(rank, iter int, rng *simtime.RNG) float64 {
-		if amp == 0 {
-			return 1
-		}
-		if iter != cur || rank == 0 {
-			cur = iter
-			val = rng.Jitter(amp)
-		}
-		return val
-	}
 }
 
 // RunCustom runs a user-defined application model under the same node

@@ -1,9 +1,14 @@
 package progresscap
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"math"
 	"testing"
 	"time"
+
+	"progresscap/internal/spec"
 )
 
 func miniApp() CustomApp {
@@ -132,6 +137,40 @@ func TestCustomValidation(t *testing.T) {
 	for i, app := range bad {
 		if _, err := RunCustom(app, RunConfig{Seconds: 5}); err == nil {
 			t.Errorf("bad custom app %d accepted", i)
+		}
+	}
+}
+
+// TestCustomFingerprintPinned pins the run-fingerprint probes of custom
+// models, one with shared and per-rank jitter and one with neither: a
+// change to the custom generator's draw order or float expressions would
+// change every cache key of a custom run.
+func TestCustomFingerprintPinned(t *testing.T) {
+	jittery := miniApp()
+	jittery.Name = "jittery"
+	jittery.Phases = append(jittery.Phases, CustomPhase{
+		Name: "noisy", Iterations: 40, Period: 50 * time.Millisecond, Beta: 0.8,
+		Jitter: 0.2, RankImbalance: 0.05,
+	})
+	cases := []struct {
+		app  CustomApp
+		want string
+	}{
+		{miniApp(), "4805ca4dc8902b30677024247203cd5f3f19586b93eb18111f0cfeaca63aa6d3"},
+		{jittery, "d24072d7a14471e8168a704ea07ac144219d1851f3f68c567a3bbc137e8b42f1"},
+	}
+	for _, c := range cases {
+		w, err := c.app.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(spec.FingerprintWorkload(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s: fingerprint hash %s, want %s", c.app.Name, got, c.want)
 		}
 	}
 }

@@ -28,24 +28,6 @@ const FMaxHz = 3.3e9
 // threads, one per physical core.
 const DefaultRanks = 24
 
-// sharedJitter returns a generator-local source of one multiplicative
-// jitter per iteration, shared by every rank: workload generators are
-// invoked rank 0..N-1 for each iteration, so the value drawn at rank 0 is
-// reused for the rest of the team. Sharing the draw keeps iteration cost
-// variation from masquerading as rank imbalance (which would inflate
-// barrier-spin instructions and dilute MPO).
-func sharedJitter(amp float64) func(rank, iter int, rng *simtime.RNG) float64 {
-	cur := -1
-	val := 1.0
-	return func(rank, iter int, rng *simtime.RNG) float64 {
-		if iter != cur || rank == 0 {
-			cur = iter
-			val = rng.Jitter(amp)
-		}
-		return val
-	}
-}
-
 // seg builds a segment from an iteration-time budget: total duration at
 // FMaxHz split into compute and memory by beta, with instruction and miss
 // counts derived from ipc and mpo.
@@ -74,7 +56,6 @@ func LAMMPS(ranks, steps int) *workload.Workload {
 		mpo     = 0.32e-3
 		atoms   = 40000
 	)
-	jit := sharedJitter(0.01)
 	return &workload.Workload{
 		Name:   "lammps",
 		Metric: "atom timesteps/s",
@@ -83,8 +64,9 @@ func LAMMPS(ranks, steps int) *workload.Workload {
 			Name:            "verlet",
 			Iterations:      steps,
 			ProgressPerIter: atoms,
-			Gen: func(rank, iter int, rng *simtime.RNG) workload.Segment {
-				return seg(iterSec*jit(rank, iter, rng), beta, ipc, mpo, 0.002, atoms/float64(ranks))
+			SharedJitter:    0.01,
+			Gen: func(rank, iter int, shared float64, rng *simtime.RNG) workload.Segment {
+				return seg(iterSec*shared, beta, ipc, mpo, 0.002, atoms/float64(ranks))
 			},
 		}},
 	}
@@ -101,7 +83,6 @@ func AMG(ranks, iters int) *workload.Workload {
 		ipc     = 1.2
 		mpo     = 30.1e-3
 	)
-	jit := sharedJitter(0.10)
 	return &workload.Workload{
 		Name:   "amg",
 		Metric: "GMRES iterations/s",
@@ -110,12 +91,12 @@ func AMG(ranks, iters int) *workload.Workload {
 			Name:            "gmres",
 			Iterations:      iters,
 			ProgressPerIter: 1,
-			Gen: func(rank, iter int, rng *simtime.RNG) workload.Segment {
+			SharedJitter:    0.10,
+			Gen: func(rank, iter int, shared float64, rng *simtime.RNG) workload.Segment {
 				// Iteration-to-iteration cost variation dominates
 				// (Fig 1 center); a little rank imbalance on top.
-				itJitter := jit(rank, iter, rng)
 				rkJitter := rng.Jitter(0.01)
-				return seg(iterSec*itJitter*rkJitter, beta, ipc, mpo, 0.05, 1.0/float64(ranks))
+				return seg(iterSec*shared*rkJitter, beta, ipc, mpo, 0.05, 1.0/float64(ranks))
 			},
 		}},
 	}
@@ -131,13 +112,13 @@ func QMCPACK(threads, vmc1, vmc2, dmc int) *workload.Workload {
 		mpo = 3.91e-3
 	)
 	phase := func(name string, blocks int, iterSec, beta float64) workload.Phase {
-		jit := sharedJitter(0.02)
 		return workload.Phase{
 			Name:            name,
 			Iterations:      blocks,
 			ProgressPerIter: 1, // one block
-			Gen: func(rank, iter int, rng *simtime.RNG) workload.Segment {
-				return seg(iterSec*jit(rank, iter, rng), beta, ipc, mpo, 0.02, 1.0/float64(threads))
+			SharedJitter:    0.02,
+			Gen: func(rank, iter int, shared float64, rng *simtime.RNG) workload.Segment {
+				return seg(iterSec*shared, beta, ipc, mpo, 0.02, 1.0/float64(threads))
 			},
 		}
 	}
@@ -163,13 +144,13 @@ func OpenMC(threads, inactive, active, particles int) *workload.Workload {
 		mpo = 0.20e-3
 	)
 	phase := func(name string, batches int, iterSec float64) workload.Phase {
-		jit := sharedJitter(0.03)
 		return workload.Phase{
 			Name:            name,
 			Iterations:      batches,
 			ProgressPerIter: float64(particles),
-			Gen: func(rank, iter int, rng *simtime.RNG) workload.Segment {
-				return seg(iterSec*jit(rank, iter, rng), 0.93, ipc, mpo, 0.01,
+			SharedJitter:    0.03,
+			Gen: func(rank, iter int, shared float64, rng *simtime.RNG) workload.Segment {
+				return seg(iterSec*shared, 0.93, ipc, mpo, 0.01,
 					float64(particles)/float64(threads))
 			},
 		}
@@ -195,7 +176,6 @@ func STREAM(threads, iters int) *workload.Workload {
 		ipc     = 0.8
 		mpo     = 50.9e-3
 	)
-	jit := sharedJitter(0.01)
 	return &workload.Workload{
 		Name:   "stream",
 		Metric: "iterations/s",
@@ -204,10 +184,11 @@ func STREAM(threads, iters int) *workload.Workload {
 			Name:            "copy-scale-add-triad",
 			Iterations:      iters,
 			ProgressPerIter: 1,
-			Gen: func(rank, iter int, rng *simtime.RNG) workload.Segment {
+			SharedJitter:    0.01,
+			Gen: func(rank, iter int, shared float64, rng *simtime.RNG) workload.Segment {
 				// Per-thread bandwidth share is high enough that the
 				// aggregate demand saturates the memory subsystem.
-				return seg(iterSec*jit(rank, iter, rng), beta, ipc, mpo, 0.104, 1.0/float64(threads))
+				return seg(iterSec*shared, beta, ipc, mpo, 0.104, 1.0/float64(threads))
 			},
 		}},
 	}
@@ -224,7 +205,6 @@ func CANDLE(threads, epochs int) *workload.Workload {
 		ipc      = 1.6
 		mpo      = 2.0e-3
 	)
-	jit := sharedJitter(0.04)
 	return &workload.Workload{
 		Name:   "candle",
 		Metric: "epochs/s",
@@ -233,8 +213,9 @@ func CANDLE(threads, epochs int) *workload.Workload {
 			Name:            "training",
 			Iterations:      epochs,
 			ProgressPerIter: 1,
-			Gen: func(rank, iter int, rng *simtime.RNG) workload.Segment {
-				return seg(epochSec*jit(rank, iter, rng), beta, ipc, mpo, 0.02, 1.0/float64(threads))
+			SharedJitter:    0.04,
+			Gen: func(rank, iter int, shared float64, rng *simtime.RNG) workload.Segment {
+				return seg(epochSec*shared, beta, ipc, mpo, 0.02, 1.0/float64(threads))
 			},
 		}},
 	}
@@ -258,7 +239,7 @@ func ImbalanceSample(ranks, iters int, equal bool, workSeconds float64) *workloa
 			Name:            "main",
 			Iterations:      iters,
 			ProgressPerIter: 1,
-			Gen: func(rank, iter int, rng *simtime.RNG) workload.Segment {
+			Gen: func(rank, iter int, shared float64, rng *simtime.RNG) workload.Segment {
 				sleep := workSeconds
 				if !equal {
 					sleep = float64(rank+1) / float64(ranks) * workSeconds

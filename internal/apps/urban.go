@@ -25,7 +25,6 @@ func Nek5000(ranks, steps int) *workload.Workload {
 		ipc         = 1.6
 		mpo         = 8.0e-3
 	)
-	jit := sharedJitter(0.45) // the defining feature: wildly nonuniform steps
 	return &workload.Workload{
 		Name:   "nek5000",
 		Metric: "timesteps/s",
@@ -34,8 +33,9 @@ func Nek5000(ranks, steps int) *workload.Workload {
 			Name:            "solve",
 			Iterations:      steps,
 			ProgressPerIter: 1,
-			Gen: func(rank, iter int, rng *simtime.RNG) workload.Segment {
-				return seg(meanIterSec*jit(rank, iter, rng), beta, ipc, mpo, 0.03, 1.0/float64(ranks))
+			SharedJitter:    0.45, // the defining feature: wildly nonuniform steps
+			Gen: func(rank, iter int, shared float64, rng *simtime.RNG) workload.Segment {
+				return seg(meanIterSec*shared, beta, ipc, mpo, 0.03, 1.0/float64(ranks))
 			},
 		}},
 	}
@@ -51,7 +51,6 @@ func EnergyPlus(ranks, zoneSteps int) *workload.Workload {
 		ipc     = 1.1
 		mpo     = 15.0e-3
 	)
-	jit := sharedJitter(0.08)
 	return &workload.Workload{
 		Name:   "energyplus",
 		Metric: "zone timesteps/s",
@@ -60,8 +59,9 @@ func EnergyPlus(ranks, zoneSteps int) *workload.Workload {
 			Name:            "annual",
 			Iterations:      zoneSteps,
 			ProgressPerIter: 1,
-			Gen: func(rank, iter int, rng *simtime.RNG) workload.Segment {
-				return seg(stepSec*jit(rank, iter, rng), beta, ipc, mpo, 0.04, 1.0/float64(ranks))
+			SharedJitter:    0.08,
+			Gen: func(rank, iter int, shared float64, rng *simtime.RNG) workload.Segment {
+				return seg(stepSec*shared, beta, ipc, mpo, 0.04, 1.0/float64(ranks))
 			},
 		}},
 	}

@@ -14,10 +14,12 @@ func TestNek5000StepsNonuniform(t *testing.T) {
 	w := Nek5000(16, 60)
 	rng := simtime.NewRNG(1)
 	var durs []float64
+	p := w.Phases[0]
 	for it := 0; it < 60; it++ {
 		longest := 0.0
+		shared := rng.Jitter(p.SharedJitter)
 		for r := 0; r < w.Ranks; r++ {
-			d := w.Phases[0].Gen(r, it, rng).DurationAt(FMaxHz, 1)
+			d := p.Gen(r, it, shared, rng).DurationAt(FMaxHz, 1)
 			if d > longest {
 				longest = d
 			}
@@ -33,7 +35,8 @@ func TestNek5000StepsNonuniform(t *testing.T) {
 	durs = durs[:0]
 	rng = simtime.NewRNG(1)
 	for it := 0; it < 60; it++ {
-		durs = append(durs, l.Phases[0].Gen(0, it, rng).DurationAt(FMaxHz, 1))
+		p := l.Phases[0]
+		durs = append(durs, p.Gen(0, it, rng.Jitter(p.SharedJitter), rng).DurationAt(FMaxHz, 1))
 	}
 	if cv := stats.CoefVar(durs); cv > 0.02 {
 		t.Fatalf("LAMMPS step CV = %v, want uniform", cv)

@@ -115,10 +115,10 @@ func (e *Engine) Resume(ck *Checkpoint) error {
 		return fmt.Errorf("engine: invariant checker enabled but checkpoint has no state")
 	}
 
-	// Replay executors first: it verifies the RNG landing, so a wrong
-	// workload or seed fails here before any other state is touched.
+	// Check executor identity first, so a wrong workload or seed fails
+	// before any state is touched.
 	for i, j := range e.jobs {
-		if err := j.exec.Replay(src.jobs[i].exec); err != nil {
+		if err := j.exec.CheckResume(src.jobs[i].exec); err != nil {
 			return fmt.Errorf("engine: resume: %w", err)
 		}
 	}

@@ -256,6 +256,37 @@ func TestCheckpointRefusals(t *testing.T) {
 	if err := wrongSeed.Resume(ck); err == nil {
 		t.Error("checkpoint restored onto a differently seeded engine")
 	}
+
+	// Same ranks and seed, different workload: a STREAM checkpoint onto
+	// LAMMPS, and a long STREAM's position onto a STREAM too short to
+	// hold it.
+	streamCk := func(iters int) *Checkpoint {
+		e, err := New(DefaultConfig(), apps.STREAM(apps.DefaultRanks, iters))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Advance(2 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := e.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ck
+	}
+	if err := mk().Resume(streamCk(600)); err == nil {
+		t.Error("STREAM checkpoint restored onto a LAMMPS engine")
+	}
+	short, err := New(DefaultConfig(), apps.STREAM(apps.DefaultRanks, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := short.Resume(streamCk(600)); err == nil {
+		t.Error("checkpoint past the end of the workload restored")
+	}
 }
 
 // TestEngineStateInventory: the copier's walk of the Engine type graph

@@ -24,7 +24,7 @@ func TestProgressOverflowDrops(t *testing.T) {
 			Name:            "burst",
 			Iterations:      3000,
 			ProgressPerIter: 1,
-			Gen: func(rank, iter int, rng *simtime.RNG) workload.Segment {
+			Gen: func(rank, iter int, shared float64, rng *simtime.RNG) workload.Segment {
 				return workload.Segment{SleepSeconds: 0.0004, WorkUnits: 1}
 			},
 		}},

@@ -64,28 +64,36 @@ func TestSampleOutputGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{RunSeconds: 12, Reps: 3, Seed: 1}.WithRunner(NewRunner(0))
-	var got bytes.Buffer
-	for _, g := range Artifacts {
-		art, err := g.Fn(opts)
-		if err != nil {
-			t.Fatalf("%s: %v", g.ID, err)
-		}
-		got.WriteString(art.Render() + "\n")
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-		line := 0
-		for line < len(gl) && line < len(wl) && gl[line] == wl[line] {
-			line++
-		}
-		at := func(l []string) string {
-			if line < len(l) {
-				return l[line]
+	// The second pass forks sweep cells from pooled checkpoints: the
+	// end-to-end check that Resume continues a run exactly.
+	for _, forking := range []bool{false, true} {
+		runner := NewRunner(0)
+		opts := Options{RunSeconds: 12, Reps: 3, Seed: 1, Forking: forking}.WithRunner(runner)
+		var got bytes.Buffer
+		for _, g := range Artifacts {
+			art, err := g.Fn(opts)
+			if err != nil {
+				t.Fatalf("forking=%v: %s: %v", forking, g.ID, err)
 			}
-			return "<EOF>"
+			got.WriteString(art.Render() + "\n")
 		}
-		t.Fatalf("%s is stale at line %d:\n got: %s\nwant: %s\nregenerate with: go run ./cmd/experiments > docs/sample-output.txt",
-			path, line+1, at(gl), at(wl))
+		if forking && runner.Stats().ForkHits == 0 {
+			t.Error("forking pass resumed no run from a checkpoint")
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+			line := 0
+			for line < len(gl) && line < len(wl) && gl[line] == wl[line] {
+				line++
+			}
+			at := func(l []string) string {
+				if line < len(l) {
+					return l[line]
+				}
+				return "<EOF>"
+			}
+			t.Fatalf("forking=%v: %s is stale at line %d:\n got: %s\nwant: %s\nregenerate with: go run ./cmd/experiments > docs/sample-output.txt",
+				forking, path, line+1, at(gl), at(wl))
+		}
 	}
 }

@@ -190,8 +190,7 @@ func (a *Artifact) Render() string {
 	return b.String()
 }
 
-// capSpec describes one run under a scheme (nil = uncapped). mk must
-// build a fresh workload per call when the spec will be Prefetched.
+// capSpec describes one run under a scheme (nil = uncapped).
 func (o Options) capSpec(mk func() *workload.Workload, scheme policy.Scheme, seed uint64, maxSeconds float64) RunSpec {
 	return RunSpec{Make: mk, Scheme: scheme, Seed: seed, MaxSeconds: maxSeconds, Invariants: o.CheckInvariants, FixedTick: o.FixedTick, Backend: o.Backend, Forking: o.Forking}
 }

@@ -21,11 +21,10 @@ import (
 // point (DVFSMHz > 0), from a given seed, for at most MaxSeconds of
 // virtual time.
 //
-// Make must build a fresh *workload.Workload on every call: application
-// generators carry per-instance closure state (the shared-jitter draws),
-// so a single instance must never be executed by two runs concurrently.
-// The Runner calls Make once to fingerprint the spec and once per actual
-// execution.
+// Make returns the run's workload. Workloads are immutable and their
+// generators pure, so Make may return one shared instance, and runs may
+// execute it concurrently. The Runner calls Make once to fingerprint the
+// spec and once per actual execution.
 type RunSpec struct {
 	Make       func() *workload.Workload
 	Scheme     policy.Scheme // nil = uncapped; ignored when DVFSMHz > 0

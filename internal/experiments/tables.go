@@ -125,8 +125,6 @@ type charCase struct {
 
 // characterizableScaled sizes OpenMC separately: its ~1 s batches need
 // longer measurement runs than the sub-second-iteration applications.
-// The cases carry factories rather than instances so runs on the same
-// application can execute concurrently (generator closures are stateful).
 func characterizableScaled(opts Options, openmcSecs float64) []charCase {
 	secs := opts.RunSeconds
 	return []charCase{
@@ -189,9 +187,9 @@ func (o Options) characterize(mk func() *workload.Workload, seed uint64, maxSeco
 // uncapped progress rate and package power from the fast run, which
 // Figure 4 reuses as its baseline.
 //
-// The caller's workload instance is executed on this goroutine; callers
-// inside the harness should prefer Options.characterize, which shares the
-// suite's memoizing scheduler.
+// It runs on a private serial Runner; callers inside the harness should
+// prefer Options.characterize, which shares the suite's memoizing
+// scheduler.
 func CharacterizeBeta(w *workload.Workload, seed uint64, maxSeconds float64) (beta, mpo, rate, pkgW float64, err error) {
 	var o Options
 	if err := o.fillDefaults(); err != nil {

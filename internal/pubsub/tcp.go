@@ -288,6 +288,7 @@ type Subscriber struct {
 	mu     sync.Mutex
 	wmu    sync.Mutex
 	closed bool
+	quit   chan struct{} // closed by Close: the read loop stops handing off
 	done   chan struct{}
 }
 
@@ -301,7 +302,7 @@ func Dial(addr string, prefixes ...string) (*Subscriber, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Subscriber{conn: conn, ch: make(chan Message, 1024), done: make(chan struct{})}
+	s := &Subscriber{conn: conn, ch: make(chan Message, 1024), quit: make(chan struct{}), done: make(chan struct{})}
 	for _, pre := range prefixes {
 		if err := s.Subscribe(pre); err != nil {
 			conn.Close()
@@ -327,7 +328,11 @@ func (s *Subscriber) readLoop() {
 		if err != nil {
 			return
 		}
-		s.ch <- m
+		select {
+		case s.ch <- m:
+		case <-s.quit:
+			return
+		}
 	}
 }
 
@@ -343,6 +348,7 @@ func (s *Subscriber) Close() error {
 		return nil
 	}
 	s.closed = true
+	close(s.quit)
 	s.mu.Unlock()
 	err := s.conn.Close()
 	<-s.done

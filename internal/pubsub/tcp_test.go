@@ -155,6 +155,46 @@ func TestTCPSubscriberCloseStopsDelivery(t *testing.T) {
 	}
 }
 
+// TestTCPSubscriberCloseWithFullChannel: closing a subscriber whose C()
+// is full and undrained returns, even though its read loop is parked
+// handing the next frame to the channel.
+func TestTCPSubscriberCloseWithFullChannel(t *testing.T) {
+	p, err := NewPublisher("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	s, err := Dial(p.Addr(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSubs(t, p, 1)
+	deadline := time.Now().Add(5 * time.Second)
+	for len(s.C()) < cap(s.C()) {
+		for i := 0; i < 64; i++ {
+			p.Publish(Message{Topic: "t", Payload: []byte("x")})
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("subscriber channel holds %d of %d frames", len(s.C()), cap(s.C()))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// More frames than the channel holds: the read loop blocks on one.
+	for i := 0; i < 16; i++ {
+		p.Publish(Message{Topic: "t", Payload: []byte("x")})
+	}
+	time.Sleep(10 * time.Millisecond)
+
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close on a subscriber with a full, undrained channel did not return")
+	}
+}
+
 // TestTCPPublishRacesDrop publishes from one goroutine while another
 // tears every connection down: a send must never meet a closed queue
 // (under -race, never even race its close).

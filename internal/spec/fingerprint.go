@@ -38,8 +38,8 @@ type WorkloadFP struct {
 }
 
 // FingerprintWorkload probes w at fixed corner coordinates and returns
-// its fingerprint. Rank 0 is probed first within each iteration because
-// the shared-jitter closures re-draw there, resetting their state.
+// its fingerprint. Each probed iteration draws its shared jitter before
+// its ranks' probes, as the executor does.
 func FingerprintWorkload(w *workload.Workload) WorkloadFP {
 	fp := WorkloadFP{Name: w.Name, Metric: w.Metric, Ranks: w.Ranks}
 	probeRNG := simtime.NewRNG(0x9e3779b97f4a7c15)
@@ -54,8 +54,9 @@ func FingerprintWorkload(w *workload.Workload) WorkloadFP {
 			ranks = append(ranks, 1, w.Ranks-1)
 		}
 		for _, it := range iters {
+			shared := probeRNG.Jitter(p.SharedJitter)
 			for _, r := range ranks {
-				seg := p.Gen(r, it, probeRNG)
+				seg := p.Gen(r, it, shared, probeRNG)
 				pf.Probes = append(pf.Probes,
 					seg.ComputeCycles, seg.MemSeconds, seg.SleepSeconds,
 					seg.Instructions, seg.L3Misses, seg.BWShare, seg.WorkUnits)

@@ -33,7 +33,7 @@ func TestRankLoadsBalanced(t *testing.T) {
 
 func TestRankLoadsImbalanced(t *testing.T) {
 	// Rank 1 works 10× longer than rank 0.
-	gen := func(rank, iter int, rng *simtime.RNG) Segment {
+	gen := func(rank, iter int, shared float64, rng *simtime.RNG) Segment {
 		c := 1e7
 		if rank == 1 {
 			c = 1e8

@@ -71,16 +71,24 @@ func (s Segment) DurationAt(effHz, memFactor float64) float64 {
 	return s.SleepSeconds + s.ComputeCycles/effHz + s.MemSeconds*memFactor
 }
 
-// GenFunc produces the segment for a rank in an iteration. Generators
-// must be deterministic given the supplied RNG.
-type GenFunc func(rank, iter int, rng *simtime.RNG) Segment
+// GenFunc produces the segment for a rank in an iteration. shared is the
+// iteration's draw of the phase's SharedJitter, the same for every rank.
+// Generators must be pure: the segment depends only on the arguments and
+// the draws taken from rng.
+type GenFunc func(rank, iter int, shared float64, rng *simtime.RNG) Segment
 
 // Phase is a named stretch of iterations with homogeneous behaviour.
 type Phase struct {
 	Name            string
 	Iterations      int
 	ProgressPerIter float64 // metric units contributed by one iteration
-	Gen             GenFunc
+	// SharedJitter is the amplitude of the one multiplicative jitter
+	// drawn per iteration, before any rank's segment, and handed to every
+	// rank's generator (0 draws nothing and hands 1). Sharing the draw
+	// keeps iteration cost variation from masquerading as rank imbalance,
+	// which would inflate barrier-spin instructions and dilute MPO.
+	SharedJitter float64
+	Gen          GenFunc
 }
 
 // Workload is a complete application model.
@@ -160,14 +168,16 @@ func (l RankLoad) Busy() float64 { return l.WorkSeconds + l.SpinSeconds }
 // Exec executes a workload stretch by stretch (Span, then ConsumeTo). It
 // is single-goroutine, owned by the engine.
 type Exec struct {
-	// w, bank and offset are construction configuration and wiring.
-	// Generators are closures with hidden state: Replay re-runs them, and
-	// only then may a copy overwrite the rest.
-	w      *Workload `snap:"-"`
-	rng    *simtime.RNG
+	// w and bank are wiring. The workload is immutable and its
+	// generators pure, so name, seed and offset identify everything the
+	// copier does not carry (see CheckResume).
+	w      *Workload      `snap:"-"`
 	bank   *counters.Bank `snap:"-"`
+	name   string
+	seed   uint64
+	offset int // rank r retires instructions on core offset+r
+	rng    *simtime.RNG
 	ranks  []rankState
-	offset int `snap:"-"` // rank r retires instructions on core offset+r
 
 	phaseIdx  int
 	iter      int
@@ -199,10 +209,12 @@ func NewExecOffset(w *Workload, bank *counters.Bank, seed uint64, offset int) (*
 	}
 	e := &Exec{
 		w:      w,
-		rng:    simtime.NewRNG(seed),
 		bank:   bank,
-		ranks:  make([]rankState, w.Ranks),
+		name:   w.Name,
+		seed:   seed,
 		offset: offset,
+		rng:    simtime.NewRNG(seed),
+		ranks:  make([]rankState, w.Ranks),
 	}
 	e.loadIteration(0)
 	return e, nil
@@ -227,8 +239,9 @@ func (e *Exec) Phase() (string, int) {
 // startAt records when the iteration began for duration accounting.
 func (e *Exec) loadIteration(startAt time.Duration) {
 	p := e.w.Phases[e.phaseIdx]
+	shared := e.rng.Jitter(p.SharedJitter)
 	for r := range e.ranks {
-		seg := p.Gen(r, e.iter, e.rng)
+		seg := p.Gen(r, e.iter, shared, e.rng)
 		if err := seg.Validate(); err != nil {
 			panic(fmt.Sprintf("workload %s phase %s rank %d iter %d: %v", e.w.Name, p.Name, r, e.iter, err))
 		}
@@ -289,63 +302,30 @@ func (e *Exec) advance(now time.Duration) {
 	e.loadIteration(now)
 }
 
-// globalIter returns the executor's position as a count of completed
-// loadIteration calls after the constructor's: phase-by-phase iteration
-// order is fixed, so (phaseIdx, iter) maps to one replay count.
-func (e *Exec) globalIter(phaseIdx, iter int) (int, error) {
-	if phaseIdx < 0 || phaseIdx >= len(e.w.Phases) {
-		return 0, fmt.Errorf("workload %s: checkpoint phase %d outside [0,%d)", e.w.Name, phaseIdx, len(e.w.Phases))
-	}
-	if iter < 0 || iter >= e.w.Phases[phaseIdx].Iterations {
-		return 0, fmt.Errorf("workload %s: checkpoint iter %d outside phase %d", e.w.Name, iter, phaseIdx)
-	}
-	n := 0
-	for p := 0; p < phaseIdx; p++ {
-		n += e.w.Phases[p].Iterations
-	}
-	return n + iter, nil
-}
-
-// Replay positions a freshly constructed executor (same workload, seed
-// and offset, untouched since NewExecOffset) at to's iteration.
-// Generators are closures, some with hidden state (the apps' shared
-// jitter draws), so an executor cannot be deep-copied on its own:
-// loadIteration is the only place generators run and the RNG is drawn,
-// and it runs in a fixed (phase, iter) order, so replaying that sequence
-// reproduces both. The RNG landing is checked against to's: a mismatch
-// means the executor was not fresh or the workload or seed differs.
-// A deep copy of to then supplies the mid-iteration remainders, the
-// accounting and the anchors.
-func (e *Exec) Replay(to *Exec) error {
-	if len(to.ranks) != len(e.ranks) {
-		return fmt.Errorf("workload %s: checkpoint has %d ranks, executor %d", e.w.Name, len(to.ranks), len(e.ranks))
-	}
-	if e.phaseIdx != 0 || e.iter != 0 || e.at != 0 || e.done {
-		return fmt.Errorf("workload %s: replay onto a non-fresh executor", e.w.Name)
-	}
-	target := e.w.TotalIterations() // replay count when to is done
-	if !to.done {
-		var err error
-		target, err = e.globalIter(to.phaseIdx, to.iter)
-		if err != nil {
-			return err
+// CheckResume reports whether ck, another executor's copy, may be copied
+// onto e: e must be fresh, and ck must come from the same workload, seed
+// and core offset, at a position inside e's workload. The workload is
+// immutable and its generators pure, so the copied state then determines
+// the rest of the execution.
+func (e *Exec) CheckResume(ck *Exec) error {
+	switch {
+	case ck.name != e.name || ck.seed != e.seed || ck.offset != e.offset:
+		return fmt.Errorf("workload %s: checkpoint is of %s at seed %d, core offset %d; executor has seed %d, core offset %d",
+			e.name, ck.name, ck.seed, ck.offset, e.seed, e.offset)
+	case len(ck.ranks) != len(e.ranks):
+		return fmt.Errorf("workload %s: checkpoint has %d ranks, executor %d", e.name, len(ck.ranks), len(e.ranks))
+	case e.phaseIdx != 0 || e.iter != 0 || e.at != 0 || e.done:
+		return fmt.Errorf("workload %s: resume onto a non-fresh executor", e.name)
+	case ck.done:
+		// advance leaves a done executor one past the last phase.
+		if ck.phaseIdx != len(e.w.Phases) || ck.iter != 0 {
+			return fmt.Errorf("workload %s: done checkpoint at phase %d iter %d, workload has %d phases",
+				e.name, ck.phaseIdx, ck.iter, len(e.w.Phases))
 		}
-	}
-	// The constructor already ran loadIteration for global iteration 0;
-	// advance() runs it for each subsequent one (and flips done past the
-	// last). Replay with a zero timestamp: the copy overwrites iterStart.
-	for g := 0; g < target && !e.done; g++ {
-		e.advance(0)
-	}
-	if !to.done && (e.phaseIdx != to.phaseIdx || e.iter != to.iter) {
-		return fmt.Errorf("workload %s: replay landed at phase %d iter %d, checkpoint says %d/%d",
-			e.w.Name, e.phaseIdx, e.iter, to.phaseIdx, to.iter)
-	}
-	if e.done != to.done {
-		return fmt.Errorf("workload %s: replay done=%v, checkpoint done=%v", e.w.Name, e.done, to.done)
-	}
-	if *e.rng != *to.rng {
-		return fmt.Errorf("workload %s: replayed RNG diverges from checkpoint (different seed or workload?)", e.w.Name)
+	case ck.phaseIdx < 0 || ck.phaseIdx >= len(e.w.Phases):
+		return fmt.Errorf("workload %s: checkpoint phase %d outside [0,%d)", e.name, ck.phaseIdx, len(e.w.Phases))
+	case ck.iter < 0 || ck.iter >= e.w.Phases[ck.phaseIdx].Iterations:
+		return fmt.Errorf("workload %s: checkpoint iter %d outside phase %d", e.name, ck.iter, ck.phaseIdx)
 	}
 	return nil
 }
@@ -608,8 +588,9 @@ func (w *Workload) IdealDuration(effHz, memFactor float64, seed uint64) time.Dur
 	for _, p := range w.Phases {
 		for it := 0; it < p.Iterations; it++ {
 			longest := 0.0
+			shared := rng.Jitter(p.SharedJitter)
 			for r := 0; r < w.Ranks; r++ {
-				d := p.Gen(r, it, rng).DurationAt(effHz, memFactor)
+				d := p.Gen(r, it, shared, rng).DurationAt(effHz, memFactor)
 				if d > longest {
 					longest = d
 				}

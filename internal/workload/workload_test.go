@@ -11,7 +11,7 @@ import (
 
 // uniform returns a generator where every rank does the same fixed work.
 func uniform(seg Segment) GenFunc {
-	return func(rank, iter int, rng *simtime.RNG) Segment { return seg }
+	return func(rank, iter int, shared float64, rng *simtime.RNG) Segment { return seg }
 }
 
 func simpleWorkload(ranks, iters int, seg Segment) *Workload {
@@ -172,7 +172,7 @@ func TestExecEtinskiRelationHolds(t *testing.T) {
 
 func TestExecBarrierSpinRetiresInstructions(t *testing.T) {
 	// Rank 1 works 100 ms; rank 0 works 10 ms then spins ~90 ms.
-	gen := func(rank, iter int, rng *simtime.RNG) Segment {
+	gen := func(rank, iter int, shared float64, rng *simtime.RNG) Segment {
 		c := 1e7
 		if rank == 1 {
 			c = 1e8
@@ -266,7 +266,7 @@ func TestExecPhaseSequencing(t *testing.T) {
 }
 
 func TestExecWorkUnitsSummedAcrossRanks(t *testing.T) {
-	gen := func(rank, iter int, rng *simtime.RNG) Segment {
+	gen := func(rank, iter int, shared float64, rng *simtime.RNG) Segment {
 		return Segment{SleepSeconds: 0.01, WorkUnits: float64(rank + 1)}
 	}
 	w := &Workload{Name: "wu", Metric: "units/s", Ranks: 3,
@@ -314,7 +314,7 @@ func TestExecBankTooSmall(t *testing.T) {
 }
 
 func TestExecDeterministicAcrossRuns(t *testing.T) {
-	gen := func(rank, iter int, rng *simtime.RNG) Segment {
+	gen := func(rank, iter int, shared float64, rng *simtime.RNG) Segment {
 		return Segment{ComputeCycles: 1e6 * rng.Jitter(0.2), Instructions: 1e6}
 	}
 	w := &Workload{Name: "jit", Metric: "iters/s", Ranks: 4,
@@ -337,6 +337,22 @@ func TestIdealDurationMatchesExec(t *testing.T) {
 	_, total := runToCompletion(t, e, 100*time.Microsecond, 3.3e9, 1)
 	if math.Abs(total.Seconds()-ideal)/ideal > 0.02 {
 		t.Fatalf("exec total %v vs ideal %v", total.Seconds(), ideal)
+	}
+}
+
+// TestConsumeToComputeFinishEpsilon pins ConsumeTo's compute finish
+// epsilon: a cut that leaves a compute residue of about 5e-7 cycles
+// (below the 1e-6 epsilon, above 1e-7) finishes the rank, so the
+// iteration completes in that call rather than one nanosecond later.
+func TestConsumeToComputeFinishEpsilon(t *testing.T) {
+	w := simpleWorkload(1, 2, Segment{ComputeCycles: 1e6 + 5e-7, Instructions: 1e6})
+	e, _ := NewExec(w, counters.NewBank(1), 1)
+	ev, ok := e.ConsumeTo(time.Millisecond, 1e9, 1)
+	if !ok {
+		t.Fatalf("iteration with a %.2g-cycle residue did not complete at the cut", e.ranks[0].remCycles)
+	}
+	if ev.Iter != 0 || ev.At != time.Millisecond {
+		t.Fatalf("completion = %+v, want iteration 0 at 1ms", ev)
 	}
 }
 
