@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all verify fmt build vet bench-vet test test-race race soak soak-short soak-backends soak-restart bench bench-smoke bench-diff bench-ab profile experiments figures clean
+.PHONY: all verify fmt build vet bench-vet test test-race race stress-pubsub soak soak-short soak-backends soak-restart bench bench-smoke bench-diff bench-ab profile experiments figures clean
 
 # `make` with no target runs the pre-merge gate.
 .DEFAULT_GOAL := verify
@@ -13,11 +13,12 @@ all: build vet test test-race soak-restart soak bench-smoke
 # module's vet and tests, the full suite (without -race, so the
 # simulation oracles that skip under the race detector — the
 # sample-output golden, parallel determinism, macro≡fixed-tick — run),
-# the full suite under the race detector, a short randomized scenario
+# the full suite under the race detector, the concurrent pub/sub queue
+# under repeated race runs, a short randomized scenario
 # soak, the backend-hardening soak, a single pass of every
 # benchmark, and — whenever a tracked baseline exists — the
 # recorded-perf regression gate.
-verify: fmt build vet bench-vet test test-race soak-short soak-backends bench-smoke bench-diff
+verify: fmt build vet bench-vet test test-race stress-pubsub soak-short soak-backends bench-smoke bench-diff
 
 # Fails listing every file gofmt would change.
 fmt:
@@ -48,6 +49,12 @@ test-race:
 
 # Back-compat alias for the old target name.
 race: test-race
+
+# The transport's blocking queue, close paths and reconnects, repeated
+# under the race detector: the detector sees only the interleavings a run
+# happens to take, and fifty runs give a send racing a close many more.
+stress-pubsub:
+	$(GO) test -race -count=50 -run 'TCP|Reconnect|Subscription|Laned' ./internal/pubsub
 
 # Property soak: generate SEEDS randomized scenario specs and run each
 # under the invariant-oracle battery (budget, deadman revert, journal

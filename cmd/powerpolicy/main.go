@@ -130,7 +130,7 @@ func main() {
 
 	// Optional TCP bridge: forward the engine's in-process progress
 	// stream to external subscribers. printPubStats reports transport
-	// health (per-subscriber queue depth, sheds, reconnects) on every
+	// health (per-subscriber queue depth, sheds, lost connections) on every
 	// exit path so silently-lossy monitors are visible post-mortem.
 	printPubStats := func() {}
 	if *publish != "" {
@@ -141,8 +141,8 @@ func main() {
 		defer pub.Close()
 		printPubStats = func() {
 			st := pub.Stats()
-			log.Printf("transport: %d conns accepted (%d reconnects, %d lost), %d live, %d messages shed",
-				st.Accepted, st.Reconnects, st.ConnsLost, st.Live, st.Dropped)
+			log.Printf("transport: %d conns accepted (%d lost), %d live, %d messages shed",
+				st.Accepted, st.ConnsLost, st.Live, st.Dropped)
 			for _, s := range st.Subscribers {
 				log.Printf("transport:   %s prefixes=%v queued=%d shed=%d",
 					s.Remote, s.Prefixes, s.QueueDepth, s.Dropped)
@@ -151,7 +151,11 @@ func main() {
 		log.Printf("publishing progress on %s (topic %q)", pub.Addr(), progress.Topic(w.Name))
 		sub := e.Bus().Subscribe(progress.Topic(w.Name), 4096)
 		go func() {
-			for m := range sub.C() {
+			for {
+				m, ok := sub.Recv()
+				if !ok {
+					return
+				}
 				pub.Publish(m)
 			}
 		}()

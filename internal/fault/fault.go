@@ -21,8 +21,10 @@
 //   - PubSubPlan  — progress-report transport faults (drop / delay /
 //     duplicate / blackout), intercepted between the Reporter and the
 //     in-process Bus by the engine; delayed messages re-enter later,
-//     which also produces reordering. TCP disconnects are injected with
-//     pubsub.(*Publisher).KickAll, driven by the Disconnects schedule.
+//     which also produces reordering. The Disconnects schedule is
+//     validated and exposed through KickDue, but no simulation or
+//     command calls KickDue or pubsub.(*Publisher).KickAll yet: a
+//     Disconnects plan perturbs nothing.
 //   - MSRPlan     — stale reads, transient EIO, and an energy-counter
 //     seed just below the 32-bit wrap, through msr.Device's fault hook.
 //   - CounterPlan — TOT_INS/L3_TCM read glitches and overflow offsets,
@@ -62,8 +64,9 @@ type PubSubPlan struct {
 	// Blackouts are windows during which every publish is dropped — the
 	// total-silence scenario the NRM's degraded mode must ride through.
 	Blackouts []Window
-	// Disconnects schedules TCP transport kicks (consumed by whoever
-	// drives a pubsub.Publisher; see KickDue).
+	// Disconnects schedules TCP transport kicks for an owner of a
+	// pubsub.Publisher to read through KickDue. Nothing reads it yet,
+	// so it has no effect on any run.
 	Disconnects []time.Duration
 }
 

@@ -18,7 +18,8 @@ type delayed struct {
 
 // PubSub perturbs the progress-report transport. The engine routes every
 // publish through Intercept and releases delayed messages with Due each
-// tick; KickDue drives scheduled TCP disconnects. All methods are meant
+// tick; KickDue reports scheduled TCP disconnects, though no caller acts
+// on them yet. All methods are meant
 // for the single-threaded simulation loop and are not safe for concurrent
 // use.
 type PubSub struct {
@@ -129,8 +130,8 @@ func (f *PubSub) NextDueAt() (t time.Duration, ok bool) {
 func (f *PubSub) Pending() int { return len(f.queue) }
 
 // KickDue reports whether a scheduled TCP disconnect falls due at or
-// before now, consuming it. The caller (whoever owns a pubsub.Publisher)
-// responds by calling KickAll.
+// before now, consuming it. An owner of a pubsub.Publisher would respond
+// by calling KickAll; no code does so yet.
 func (f *PubSub) KickDue(now time.Duration) bool {
 	if f.kickIdx >= len(f.plan.Disconnects) {
 		return false

@@ -3,6 +3,7 @@ package pubsub
 import (
 	"fmt"
 	"testing"
+	"time"
 )
 
 func TestBusDeliversToMatchingSubscribers(t *testing.T) {
@@ -60,9 +61,9 @@ func TestBusCloseUnregisters(t *testing.T) {
 	if n := b.Publish(Message{Topic: "t"}); n != 0 {
 		t.Fatalf("delivered to closed sub: %d", n)
 	}
-	// channel closed: receive yields not-ok
-	if _, open := <-s.C(); open {
-		t.Fatal("channel still open after Close")
+	// closed and empty: Recv returns at once with not-ok
+	if _, ok := s.Recv(); ok {
+		t.Fatal("Recv succeeded after Close")
 	}
 	s.Close() // idempotent: must not panic
 }
@@ -151,38 +152,54 @@ func TestSubscriptionQueueHoldsDepth(t *testing.T) {
 
 // TestSubscriptionInterleavedRecv: receiving one message at a time while
 // publishing faster keeps FIFO order and the depth bound as the queue
-// reclaims its received prefix, matching a reference bounded FIFO.
+// reclaims its received prefix, matching a reference bounded FIFO. A bus
+// subscription and a LanedQueue lane run the same schedule.
 func TestSubscriptionInterleavedRecv(t *testing.T) {
 	const depth = 8
 	b := NewBus()
 	s := b.Subscribe("", depth)
-	var model []byte // what the subscription should hold
-	var modelDrops uint64
-	next := 0
-	for round := 0; round < 50; round++ {
-		for i := 0; i < 3; i++ {
-			b.Publish(Message{Topic: "t", Payload: []byte{byte(next)}})
-			if len(model) < depth {
-				model = append(model, byte(next))
-			} else {
-				modelDrops++
+	lq := NewLanedQueue(1, depth)
+	for _, q := range []struct {
+		name    string
+		push    func(Message)
+		recv    func() (Message, bool)
+		pending func() int
+		dropped func() uint64
+	}{
+		{"bus", func(m Message) { b.Publish(m) }, s.TryRecv, s.Pending, s.Dropped},
+		{"lane", func(m Message) { lq.Push(m, 0) },
+			func() (Message, bool) { m, _, ok := lq.Pop(0); return m, ok },
+			lq.Len,
+			func() uint64 { _, tel := lq.Stats(); return tel.Shed }},
+	} {
+		var model []byte // what the queue should hold
+		var modelDrops uint64
+		next := 0
+		for round := 0; round < 50; round++ {
+			for i := 0; i < 3; i++ {
+				q.push(Message{Topic: "t", Payload: []byte{byte(next)}})
+				if len(model) < depth {
+					model = append(model, byte(next))
+				} else {
+					modelDrops++
+				}
+				next++
 			}
-			next++
-		}
-		for i := 0; i < 2; i++ {
-			m, ok := s.TryRecv()
-			if !ok || m.Payload[0] != model[0] {
-				t.Fatalf("round %d: TryRecv = %v, %v; want %d", round, m, ok, model[0])
+			for i := 0; i < 2; i++ {
+				m, ok := q.recv()
+				if !ok || m.Payload[0] != model[0] {
+					t.Fatalf("%s round %d: recv = %v, %v; want %d", q.name, round, m, ok, model[0])
+				}
+				model = model[1:]
 			}
-			model = model[1:]
+			if q.pending() != len(model) || q.dropped() != modelDrops {
+				t.Fatalf("%s round %d: pending, dropped = %d, %d; want %d, %d",
+					q.name, round, q.pending(), q.dropped(), len(model), modelDrops)
+			}
 		}
-		if s.Pending() != len(model) || s.Dropped() != modelDrops {
-			t.Fatalf("round %d: Pending, Dropped = %d, %d; want %d, %d",
-				round, s.Pending(), s.Dropped(), len(model), modelDrops)
+		if modelDrops == 0 {
+			t.Fatalf("%s: the schedule never filled the queue", q.name)
 		}
-	}
-	if modelDrops == 0 {
-		t.Fatal("the schedule never filled the queue")
 	}
 }
 
@@ -209,55 +226,127 @@ func TestSubscriptionSteadyDrainAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestSubscriptionCMovesQueueOntoChannel: the first C() carries every
-// queued message over in order; from then on the channel buffers at the
-// same depth with the same drop accounting, and TryRecv/DrainInto read
-// from it.
-func TestSubscriptionCMovesQueueOntoChannel(t *testing.T) {
+// TestSubscriptionRecvKeepsQueueOrder: Recv, TryRecv and DrainInto
+// read one queue in publish order, at one depth with one drop count.
+func TestSubscriptionRecvKeepsQueueOrder(t *testing.T) {
 	b := NewBus()
 	s := b.Subscribe("", 4)
 	for i := 0; i < 3; i++ {
 		b.Publish(Message{Topic: "t", Payload: []byte{byte(i)}})
 	}
-	ch := s.C()
-	if s.C() != ch {
-		t.Fatal("C returned a different channel on the second call")
+	if m, ok := s.Recv(); !ok || m.Payload[0] != 0 {
+		t.Fatalf("Recv = %v, %v; want message 0", m, ok)
 	}
-	for i := 3; i < 6; i++ {
+	for i := 3; i < 7; i++ {
 		b.Publish(Message{Topic: "t", Payload: []byte{byte(i)}})
 	}
 	if s.Pending() != 4 || s.Dropped() != 2 {
 		t.Fatalf("Pending, Dropped = %d, %d; want 4, 2", s.Pending(), s.Dropped())
 	}
-	if m := <-ch; m.Payload[0] != 0 {
-		t.Fatalf("first received %d, want 0", m.Payload[0])
+	if m, ok := s.Recv(); !ok || m.Payload[0] != 1 {
+		t.Fatalf("Recv = %v, %v; want message 1", m, ok)
 	}
-	if m, ok := s.TryRecv(); !ok || m.Payload[0] != 1 {
-		t.Fatalf("TryRecv = %v, %v; want message 1", m, ok)
+	if m, ok := s.TryRecv(); !ok || m.Payload[0] != 2 {
+		t.Fatalf("TryRecv = %v, %v; want message 2", m, ok)
 	}
 	rest := s.DrainInto(nil)
-	if len(rest) != 2 || rest[0].Payload[0] != 2 || rest[1].Payload[0] != 3 {
-		t.Fatalf("DrainInto = %v, want messages 2 and 3", rest)
+	if len(rest) != 2 || rest[0].Payload[0] != 3 || rest[1].Payload[0] != 4 {
+		t.Fatalf("DrainInto = %v, want messages 3 and 4", rest)
 	}
 	if _, drop := b.Stats(); drop != 2 {
 		t.Fatalf("bus drops = %d, want 2", drop)
 	}
 }
 
-// TestSubscriptionCAfterClose: messages queued before Close stay
-// receivable on the channel a later C() returns, which is closed.
-func TestSubscriptionCAfterClose(t *testing.T) {
+// TestSubscriptionRecvAfterClose: messages queued before Close stay
+// receivable through Recv, which then reports the end.
+func TestSubscriptionRecvAfterClose(t *testing.T) {
 	b := NewBus()
 	s := b.Subscribe("", 4)
 	b.Publish(Message{Topic: "t", Payload: []byte{7}})
 	b.Publish(Message{Topic: "t", Payload: []byte{8}})
 	s.Close()
 	var got []byte
-	for m := range s.C() {
+	for {
+		m, ok := s.Recv()
+		if !ok {
+			break
+		}
 		got = append(got, m.Payload[0])
 	}
 	if len(got) != 2 || got[0] != 7 || got[1] != 8 {
 		t.Fatalf("received %v after Close, want [7 8]", got)
+	}
+}
+
+// waitParked waits until n pops are blocked on q.
+func waitParked[T any](t *testing.T, q *queue[T], n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		q.mu.Lock()
+		w := q.waiters
+		q.mu.Unlock()
+		if w == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d pops parked, want %d", w, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+type recvResult struct {
+	m  Message
+	ok bool
+}
+
+// TestSubscriptionRecvBlocksUntilPublish: a Recv on an empty
+// subscription parks and returns the next message published.
+func TestSubscriptionRecvBlocksUntilPublish(t *testing.T) {
+	b := NewBus()
+	s := b.Subscribe("", 4)
+	got := make(chan recvResult)
+	go func() {
+		m, ok := s.Recv()
+		got <- recvResult{m, ok}
+	}()
+	waitParked(t, &s.q, 1)
+	b.Publish(Message{Topic: "t", Payload: []byte{9}})
+	select {
+	case r := <-got:
+		if !r.ok || r.m.Payload[0] != 9 {
+			t.Fatalf("Recv = %v, %v; want message 9", r.m, r.ok)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Publish did not wake a parked Recv")
+	}
+}
+
+// TestSubscriptionCloseWakesRecv: Close wakes every Recv parked on an
+// empty subscription, and each reports the end.
+func TestSubscriptionCloseWakesRecv(t *testing.T) {
+	b := NewBus()
+	s := b.Subscribe("", 4)
+	got := make(chan recvResult, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			m, ok := s.Recv()
+			got <- recvResult{m, ok}
+		}()
+	}
+	waitParked(t, &s.q, 2)
+	s.Close()
+	for i := 0; i < 2; i++ {
+		select {
+		case r := <-got:
+			if r.ok {
+				t.Fatalf("Recv after Close returned %v", r.m)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Close did not wake a parked Recv")
+		}
 	}
 }
 

@@ -40,13 +40,13 @@ func (l Lane) String() string {
 	}
 }
 
-// ControlPrefixes are the topic prefixes classified into the control
+// controlPrefixes are the topic prefixes classified into the control
 // lane; everything else is telemetry.
-var ControlPrefixes = []string{"control.", "lease.", "fence."}
+var controlPrefixes = []string{"control.", "lease.", "fence."}
 
 // ClassifyTopic maps a topic to its lane.
 func ClassifyTopic(topic string) Lane {
-	for _, pre := range ControlPrefixes {
+	for _, pre := range controlPrefixes {
 		if len(topic) >= len(pre) && topic[:len(pre)] == pre {
 			return LaneControl
 		}
@@ -78,13 +78,10 @@ type lanedEntry struct {
 }
 
 type laneQ struct {
-	buf  []lanedEntry // ring
-	head int
-	n    int
+	fifo queue[lanedEntry]
 
 	enqueued  uint64
 	delivered uint64
-	shed      uint64
 	peakDepth int
 
 	lat    []time.Duration // sample ring
@@ -93,27 +90,21 @@ type laneQ struct {
 }
 
 func (q *laneQ) push(e lanedEntry) bool {
-	if q.n == len(q.buf) {
-		q.shed++
+	if !q.fifo.push(e) {
 		return false
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = e
-	q.n++
 	q.enqueued++
-	if q.n > q.peakDepth {
-		q.peakDepth = q.n
+	if n := q.fifo.len(); n > q.peakDepth {
+		q.peakDepth = n
 	}
 	return true
 }
 
 func (q *laneQ) pop(now time.Duration) (Message, bool) {
-	if q.n == 0 {
+	e, ok := q.fifo.pop(false)
+	if !ok {
 		return Message{}, false
 	}
-	e := q.buf[q.head]
-	q.buf[q.head] = lanedEntry{}
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
 	q.delivered++
 	d := now - e.at
 	if d < 0 {
@@ -135,8 +126,8 @@ func (q *laneQ) stats() LaneStats {
 	st := LaneStats{
 		Enqueued:   q.enqueued,
 		Delivered:  q.delivered,
-		Shed:       q.shed,
-		Depth:      q.n,
+		Shed:       q.fifo.drops(),
+		Depth:      q.fifo.len(),
 		PeakDepth:  q.peakDepth,
 		MaxLatency: q.latMax,
 	}
@@ -165,8 +156,8 @@ func NewLanedQueue(controlDepth, telemetryDepth int) *LanedQueue {
 		panic("pubsub: lane depths must be >= 1")
 	}
 	q := &LanedQueue{}
-	q.lanes[LaneControl].buf = make([]lanedEntry, controlDepth)
-	q.lanes[LaneTelemetry].buf = make([]lanedEntry, telemetryDepth)
+	q.lanes[LaneControl].fifo.depth = controlDepth
+	q.lanes[LaneTelemetry].fifo.depth = telemetryDepth
 	return q
 }
 
@@ -174,14 +165,9 @@ func NewLanedQueue(controlDepth, telemetryDepth int) *LanedQueue {
 // enqueue time for latency accounting. It reports whether the message
 // was accepted (false = shed, counted against the lane).
 func (q *LanedQueue) Push(m Message, now time.Duration) bool {
-	return q.PushLane(ClassifyTopic(m.Topic), m, now)
-}
-
-// PushLane enqueues on an explicit lane.
-func (q *LanedQueue) PushLane(lane Lane, m Message, now time.Duration) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.lanes[lane].push(lanedEntry{m: m, at: now})
+	return q.lanes[ClassifyTopic(m.Topic)].push(lanedEntry{m: m, at: now})
 }
 
 // Pop dequeues the next message, control lane first. ok is false when
@@ -201,14 +187,7 @@ func (q *LanedQueue) Pop(now time.Duration) (m Message, lane Lane, ok bool) {
 func (q *LanedQueue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.lanes[LaneControl].n + q.lanes[LaneTelemetry].n
-}
-
-// LaneStats returns one lane's counters.
-func (q *LanedQueue) LaneStats(lane Lane) LaneStats {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.lanes[lane].stats()
+	return q.lanes[LaneControl].fifo.len() + q.lanes[LaneTelemetry].fifo.len()
 }
 
 // Stats returns (control, telemetry) counters.

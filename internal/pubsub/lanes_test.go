@@ -68,11 +68,11 @@ func TestLanedQueueShedsPerLane(t *testing.T) {
 
 func TestLanedQueueLatencyStats(t *testing.T) {
 	q := NewLanedQueue(8, 8)
-	q.PushLane(LaneControl, Message{Topic: "control.a"}, 0)
-	q.PushLane(LaneControl, Message{Topic: "control.b"}, time.Millisecond)
+	q.Push(Message{Topic: "control.a"}, 0)
+	q.Push(Message{Topic: "control.b"}, time.Millisecond)
 	q.Pop(10 * time.Millisecond) // a: 10 ms
 	q.Pop(11 * time.Millisecond) // b: 10 ms
-	st := q.LaneStats(LaneControl)
+	st, _ := q.Stats()
 	if st.P50Latency != 10*time.Millisecond || st.MaxLatency != 10*time.Millisecond {
 		t.Errorf("latency stats = p50 %v max %v, want 10ms/10ms", st.P50Latency, st.MaxLatency)
 	}

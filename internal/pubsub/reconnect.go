@@ -14,16 +14,17 @@ type ReconnectOptions struct {
 	// (default 2 s); a successful connection resets it.
 	InitialBackoff time.Duration
 	MaxBackoff     time.Duration
-	// Jitter is the ± fraction applied to every backoff sleep (default
-	// 0.2) so a fleet of monitors does not redial in lockstep after a
-	// publisher restart.
-	Jitter float64
-	// Seed drives the jitter RNG (default 1), keeping even the retry
-	// schedule reproducible.
-	Seed uint64
-	// Buffer is the receive channel depth (default 1024).
-	Buffer int
 }
+
+const (
+	// reconnectJitter is the ± fraction applied to every backoff sleep,
+	// so a fleet of monitors does not redial in lockstep after a
+	// publisher restart.
+	reconnectJitter = 0.2
+	// reconnectSeed drives the jitter RNG, keeping even the retry
+	// schedule reproducible.
+	reconnectSeed = 1
+)
 
 func (o *ReconnectOptions) fillDefaults() {
 	if o.InitialBackoff <= 0 {
@@ -32,24 +33,16 @@ func (o *ReconnectOptions) fillDefaults() {
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = 2 * time.Second
 	}
-	if o.Jitter <= 0 {
-		o.Jitter = 0.2
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Buffer <= 0 {
-		o.Buffer = 1024
-	}
 }
 
 // ReconnectingSubscriber is a Subscriber that survives transport
 // failures: when the connection to the publisher drops, it redials with
 // jittered exponential backoff, re-registers its topic prefixes, and
-// resumes delivery on the same channel. Messages published while
-// disconnected are lost (PUB/SUB has no replay); the ConnDrops and
-// Reconnects counters let consumers attribute the resulting silent gaps
-// to the transport instead of the application.
+// resumes delivery on the same channel, into which each connection reads
+// directly. Messages published while disconnected are lost (PUB/SUB has
+// no replay); the ConnDrops and Reconnects counters let consumers
+// attribute the resulting silent gaps to the transport instead of the
+// application.
 type ReconnectingSubscriber struct {
 	addr     string
 	prefixes []string
@@ -76,7 +69,7 @@ func DialReconnect(addr string, opts ReconnectOptions, prefixes ...string) *Reco
 		addr:     addr,
 		prefixes: append([]string(nil), prefixes...),
 		opts:     opts,
-		ch:       make(chan Message, opts.Buffer),
+		ch:       make(chan Message, connDepth),
 		done:     make(chan struct{}),
 	}
 	go r.loop()
@@ -122,11 +115,10 @@ func (r *ReconnectingSubscriber) Close() error {
 
 func (r *ReconnectingSubscriber) loop() {
 	defer close(r.ch)
-	rng := simtime.NewRNG(r.opts.Seed)
+	rng := simtime.NewRNG(reconnectSeed)
 	backoff := r.opts.InitialBackoff
-	connected := false
 	for {
-		sub, err := Dial(r.addr, r.prefixes...)
+		sub, err := dial(r.addr, r.ch, false, r.prefixes)
 		if err == nil {
 			r.mu.Lock()
 			if r.closed {
@@ -135,22 +127,16 @@ func (r *ReconnectingSubscriber) loop() {
 				return
 			}
 			r.cur = sub
-			if connected || r.connDrops > 0 {
+			if r.connDrops > 0 {
 				r.reconnects++
 			}
-			connected = true
 			r.mu.Unlock()
 			backoff = r.opts.InitialBackoff
 
-			for m := range sub.C() {
-				select {
-				case r.ch <- m:
-				case <-r.done:
-					sub.Close()
-					return
-				}
-			}
-			// The stream ended: either the transport dropped or Close ran.
+			// The stream ends when the transport drops or Close closes
+			// sub; either way its read loop no longer sends on r.ch.
+			<-sub.done
+			sub.Close() // release the dropped connection's socket
 			r.mu.Lock()
 			r.cur = nil
 			if r.closed {
@@ -161,7 +147,7 @@ func (r *ReconnectingSubscriber) loop() {
 			r.mu.Unlock()
 		}
 
-		sleep := time.Duration(float64(backoff) * rng.Jitter(r.opts.Jitter))
+		sleep := time.Duration(float64(backoff) * rng.Jitter(reconnectJitter))
 		select {
 		case <-time.After(sleep):
 		case <-r.done:

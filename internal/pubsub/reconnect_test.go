@@ -1,6 +1,7 @@
 package pubsub
 
 import (
+	"os"
 	"testing"
 	"time"
 )
@@ -181,5 +182,38 @@ func TestReconnectCloseIsIdempotent(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("channel did not close")
+	}
+}
+
+// TestReconnectReleasesDroppedSockets: each dropped connection's socket
+// is closed when the subscriber redials, so a flapping transport does
+// not leak one descriptor per drop.
+func TestReconnectReleasesDroppedSockets(t *testing.T) {
+	openFDs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd on this platform")
+		}
+		return len(fds)
+	}
+	p, err := NewPublisher("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	r := DialReconnect(p.Addr(), ReconnectOptions{
+		InitialBackoff: time.Millisecond,
+		MaxBackoff:     5 * time.Millisecond,
+	})
+	defer r.Close()
+	waitSubs(t, p, 1)
+	before := openFDs()
+	const kicks = 20
+	for i := 0; i < kicks; i++ {
+		p.KickAll()
+		waitSubs(t, p, 1)
+	}
+	if grown := openFDs() - before; grown >= kicks/2 {
+		t.Fatalf("%d descriptors more after %d drops and redials", grown, kicks)
 	}
 }

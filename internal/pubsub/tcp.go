@@ -25,16 +25,20 @@ type Publisher struct {
 	wg        sync.WaitGroup
 }
 
+// connDepth bounds each connection's message buffer at both ends: a
+// publisher connection's outbound queue and a subscriber's channel. At
+// the ~20 reports/s of one application's progress stream it rides out a
+// peer stalled for most of a minute before shedding.
+const connDepth = 1024
+
 type pubConn struct {
 	conn net.Conn
-	out  chan Message
+	// out is closed by dropConn; its lock orders every push against
+	// the close.
+	out queue[Message]
 
-	// mu guards the fields below and every send on out: dropConn closes
-	// out under it, so no send can race the close.
-	mu       sync.Mutex
+	mu       sync.Mutex // guards prefixes
 	prefixes []string
-	dropped  uint64
-	closed   bool // out is closed; Publish skips the connection
 }
 
 // NewPublisher starts a publisher listening on addr (e.g. "127.0.0.1:0").
@@ -59,7 +63,7 @@ func (p *Publisher) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		pc := &pubConn{conn: conn, out: make(chan Message, 1024)}
+		pc := &pubConn{conn: conn, out: queue[Message]{depth: connDepth}}
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
@@ -92,14 +96,17 @@ func (p *Publisher) readLoop(pc *pubConn) {
 	}
 }
 
+// writeLoop sends queued messages until the queue is closed and empty
+// or a write fails.
 func (p *Publisher) writeLoop(pc *pubConn) {
 	defer p.wg.Done()
-	for m := range pc.out {
+	for {
+		m, ok := pc.out.pop(true)
+		if !ok {
+			return
+		}
 		if err := WriteFrame(pc.conn, m); err != nil {
 			p.dropConn(pc)
-			// Drain remaining queued messages so Publish never blocks.
-			for range pc.out {
-			}
 			return
 		}
 	}
@@ -108,19 +115,13 @@ func (p *Publisher) writeLoop(pc *pubConn) {
 // dropConn tears a connection down once, however many paths (read
 // error, write error, kick, close) reach it.
 func (p *Publisher) dropConn(pc *pubConn) {
-	pc.mu.Lock()
-	if pc.closed {
-		pc.mu.Unlock()
+	if !pc.out.close() {
 		return
 	}
-	shed := pc.dropped
-	pc.closed = true
-	close(pc.out)
-	pc.mu.Unlock()
 	p.mu.Lock()
 	delete(p.conns, pc)
 	p.dropped++
-	p.lostDrops += shed
+	p.lostDrops += pc.out.drops() // final: a closed queue counts no drops
 	p.mu.Unlock()
 	pc.conn.Close()
 }
@@ -130,17 +131,9 @@ func (p *Publisher) dropConn(pc *pubConn) {
 // was queued.
 func (pc *pubConn) offer(m Message) bool {
 	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if !pc.matches(m.Topic) || pc.closed {
-		return false
-	}
-	select {
-	case pc.out <- m:
-		return true
-	default:
-		pc.dropped++
-		return false
-	}
+	matched := pc.matches(m.Topic)
+	pc.mu.Unlock()
+	return matched && pc.out.push(m)
 }
 
 // matches reports whether topic has a registered prefix; pc.mu is held.
@@ -210,7 +203,6 @@ type SubscriberStats struct {
 // the transport from the application.
 type PublisherStats struct {
 	Accepted    uint64 // connections accepted over the publisher's lifetime
-	Reconnects  uint64 // accepts beyond each remote's first connection
 	ConnsLost   uint64 // connections torn down (write error, kick, close)
 	Live        int    // current subscriber connections
 	Dropped     uint64 // total messages shed across all subscribers, living and dead
@@ -234,26 +226,21 @@ func (p *Publisher) Stats() PublisherStats {
 	}
 	p.mu.Unlock()
 
-	remotes := map[string]bool{}
 	for _, pc := range conns {
 		pc.mu.Lock()
 		s := SubscriberStats{
 			Remote:     pc.conn.RemoteAddr().String(),
 			Prefixes:   append([]string(nil), pc.prefixes...),
-			QueueDepth: len(pc.out),
-			Dropped:    pc.dropped,
+			QueueDepth: pc.out.len(),
+			Dropped:    pc.out.drops(),
 		}
 		pc.mu.Unlock()
 		st.Dropped += s.Dropped
-		remotes[s.Remote] = true
 		st.Subscribers = append(st.Subscribers, s)
 	}
 	sort.Slice(st.Subscribers, func(i, j int) bool {
 		return st.Subscribers[i].Remote < st.Subscribers[j].Remote
 	})
-	if st.Accepted > uint64(len(remotes)) && len(remotes) > 0 {
-		st.Reconnects = st.Accepted - uint64(len(remotes))
-	}
 	return st
 }
 
@@ -284,6 +271,9 @@ func (p *Publisher) Close() error {
 type Subscriber struct {
 	conn net.Conn
 	ch   chan Message
+	// ownsCh is false when a ReconnectingSubscriber lends ch to each of
+	// its connections in turn and closes it itself.
+	ownsCh bool
 
 	mu     sync.Mutex
 	wmu    sync.Mutex
@@ -295,6 +285,12 @@ type Subscriber struct {
 // Dial connects to a Publisher at addr and subscribes to the given
 // prefixes. At least one prefix is required ("" subscribes to everything).
 func Dial(addr string, prefixes ...string) (*Subscriber, error) {
+	return dial(addr, make(chan Message, connDepth), true, prefixes)
+}
+
+// dial connects a Subscriber that delivers into ch, closing ch when its
+// read loop ends if ownsCh.
+func dial(addr string, ch chan Message, ownsCh bool, prefixes []string) (*Subscriber, error) {
 	if len(prefixes) == 0 {
 		prefixes = []string{""}
 	}
@@ -302,7 +298,7 @@ func Dial(addr string, prefixes ...string) (*Subscriber, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Subscriber{conn: conn, ch: make(chan Message, 1024), quit: make(chan struct{}), done: make(chan struct{})}
+	s := &Subscriber{conn: conn, ch: ch, ownsCh: ownsCh, quit: make(chan struct{}), done: make(chan struct{})}
 	for _, pre := range prefixes {
 		if err := s.Subscribe(pre); err != nil {
 			conn.Close()
@@ -321,7 +317,9 @@ func (s *Subscriber) Subscribe(prefix string) error {
 }
 
 func (s *Subscriber) readLoop() {
-	defer close(s.ch)
+	if s.ownsCh {
+		defer close(s.ch)
+	}
 	defer close(s.done)
 	for {
 		m, err := ReadFrame(s.conn)

@@ -370,9 +370,9 @@ func TestPublisherStatsCountsShedsAcrossConnDeath(t *testing.T) {
 		pc = c
 	}
 	p.mu.Unlock()
-	pc.mu.Lock()
-	pc.dropped = 7
-	pc.mu.Unlock()
+	pc.out.mu.Lock()
+	pc.out.dropped = 7
+	pc.out.mu.Unlock()
 
 	if got := p.Stats().Dropped; got != 7 {
 		t.Fatalf("live drops = %d, want 7", got)
