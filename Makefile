@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all verify fmt build vet bench-vet test test-race race stress-pubsub soak soak-short soak-backends soak-restart bench bench-smoke bench-diff bench-ab profile experiments figures clean
+.PHONY: all verify fmt build vet bench-vet test test-race race stress-pubsub soak soak-short soak-backends soak-restart bench-smoke bench-ab profile experiments figures clean
 
 # `make` with no target runs the pre-merge gate.
 .DEFAULT_GOAL := verify
@@ -14,11 +14,12 @@ all: build vet test test-race soak-restart soak bench-smoke
 # simulation oracles that skip under the race detector — the
 # sample-output golden, parallel determinism, macro≡fixed-tick — run),
 # the full suite under the race detector, the concurrent pub/sub queue
-# under repeated race runs, a short randomized scenario
-# soak, the backend-hardening soak, a single pass of every
-# benchmark, and — whenever a tracked baseline exists — the
-# recorded-perf regression gate.
-verify: fmt build vet bench-vet test test-race stress-pubsub soak-short soak-backends bench-smoke bench-diff
+# under repeated race runs, a short randomized scenario soak, the
+# backend-hardening soak, a single pass of every micro-benchmark and a
+# syntax check of the benchmark scripts, which otherwise run only by
+# hand. The perf gate itself is bench-ab, too slow to ride here.
+verify: fmt build vet bench-vet test test-race stress-pubsub soak-short soak-backends bench-smoke
+	bash -n scripts/bench-ab.sh bench/run.sh
 
 # Fails listing every file gofmt would change.
 fmt:
@@ -85,49 +86,23 @@ SOAK_ITERS ?= 4
 soak-restart:
 	SOAK_ITERS=$(SOAK_ITERS) $(GO) test -race -run TestChaosRestartSoak -v ./internal/experiments/
 
-# One benchmark per paper table/figure plus ablations, cluster-stepping
-# pairs, and micro-benches. Results are parsed into the tracked baseline
-# BENCH_<date>.json so the perf trajectory is recorded PR-over-PR (see
-# cmd/benchreport). -count=3 lets benchreport keep the fastest sample
-# per benchmark, rejecting shared-host scheduling noise.
-BENCH_DATE := $(shell date +%F)
-BENCH_COUNT ?= 3
-bench:
-	$(GO) test -run='^$$' -bench=. -benchmem -count=$(BENCH_COUNT) . | $(GO) run ./cmd/benchreport -echo -o BENCH_$(BENCH_DATE).json
-
-# One iteration of every benchmark through the benchreport parser — no
-# regression gate, just keeps the bench harness itself from rotting.
+# One iteration of every micro-benchmark in bench_test.go, so the ones
+# capbench cannot price do not rot between runs.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem . | $(GO) run ./cmd/benchreport -o /dev/null
-
-# Gate on the recorded perf trajectory: diff the newest tracked baseline
-# against its own embedded same-host "before" when it carries one, else
-# against the next-newest file, failing on any >10% ns/op regression.
-# Same-host pairs are preferred because the shared-CPU hosts these run
-# on drift 15-20% in absolute speed day to day — a cross-date file diff
-# would gate on the host, not the code. A no-op in a tree with no
-# baselines yet.
-BENCH_FILES := $(shell ls -1 BENCH_*.json 2>/dev/null | sort -r)
-BENCH_NEWEST := $(word 1,$(BENCH_FILES))
-BENCH_PREV := $(word 2,$(BENCH_FILES))
-bench-diff:
-ifeq ($(BENCH_NEWEST),)
-	@echo "bench-diff: no BENCH_*.json baseline tracked; skipping"
-else ifeq ($(BENCH_PREV),)
-	$(GO) run ./cmd/benchreport -diff $(BENCH_NEWEST)
-else
-	$(GO) run ./cmd/benchreport -diff -prefer-embedded $(BENCH_PREV) $(BENCH_NEWEST)
-endif
+	$(GO) test -run='^$$' -bench=. -benchtime=1x .
 
 # Paired A/B run of the repository benchmark (bench/, BENCHMARK.json):
 # the working tree against BASE on one workload (or, with WORKLOAD=all,
 # on every declared workload in turn), PAIRS alternating pairs at the
 # declared run length, seeds 1..PAIRS. Prints, per workload, each side's
 # median and quartiles per end-to-end metric, the change's win count and
-# whether the digests match; fails on a digest mismatch or a failed op.
-# About 40 s a pair, so it stays out of verify.
+# whether the digests match; fails on a digest mismatch, a failed op, or
+# a change median worse than the base median by more than the metric's
+# BENCHMARK.json bound (row marked REGRESSED). Against the merge base on
+# every workload it is the repository's perf gate. About 40 s a pair,
+# so it stays out of verify.
 #   make bench-ab BASE=HEAD~1 WORKLOAD=capped-node PAIRS=10
-#   make bench-ab BASE=HEAD~1 WORKLOAD=all PAIRS=10
+#   make bench-ab BASE=$(git merge-base HEAD main) WORKLOAD=all
 WORKLOAD ?= capped-node
 PAIRS ?= 10
 bench-ab:

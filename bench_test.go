@@ -1,12 +1,14 @@
 package progresscap
 
-// One benchmark per table and figure of the paper (see DESIGN.md's
-// experiment index): each regenerates the artifact at the harness's
-// default scale and reports headline numbers as custom metrics. Run with
+// Micro-benchmarks of the simulation substrate that the repository
+// benchmark (bench/, run through `make bench-ab`) cannot price: the
+// cluster shard pool across cores (capbench pins GOMAXPROCS=1), the fork
+// pool against scratch runs, the macro-stepping engine against its
+// fixed-tick oracle, and single substrate operations. Each paper
+// artifact's cost is capbench's artifact.<id>.ms, and its render is
+// pinned by TestSampleOutputGolden. Run with
 //
-//	go test -bench=. -benchmem
-//
-// plus micro-benchmarks of the simulation substrate at the bottom.
+//	go test -run='^$' -bench=. -benchmem
 import (
 	"testing"
 	"time"
@@ -21,172 +23,8 @@ import (
 	"progresscap/internal/powercap"
 	"progresscap/internal/pubsub"
 	"progresscap/internal/rapl"
-	"progresscap/internal/stats"
 	"progresscap/internal/workload"
 )
-
-// benchOpts is the harness scale for the artifact benchmarks — the same
-// DefaultOptions the tests use, so benchmarks and tests can't silently
-// diverge. Each call returns a fresh Options (fresh memoizing runner):
-// cross-iteration caching would make b.N iterations nearly free and
-// destroy the measurement.
-func benchOpts() experiments.Options {
-	return experiments.DefaultOptions()
-}
-
-func BenchmarkTable1MIPSVsProgress(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		art, err := experiments.Table1(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if art.Tables[0].NumRows() != 2 {
-			b.Fatal("unexpected table shape")
-		}
-	}
-}
-
-func BenchmarkTable2to4Metadata(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		art := experiments.Tables2to4()
-		if len(art.Tables) != 3 {
-			b.Fatal("unexpected artifact shape")
-		}
-	}
-}
-
-func BenchmarkTable5Categorization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		art := experiments.Table5()
-		if art.Tables[0].NumRows() != 9 {
-			b.Fatal("unexpected table shape")
-		}
-	}
-}
-
-func BenchmarkTable6BetaMPO(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		art, err := experiments.Table6(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if art.Tables[0].NumRows() != 5 {
-			b.Fatal("unexpected table shape")
-		}
-	}
-}
-
-func BenchmarkFigure1Characterize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure1(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure2RAPLAware(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure2(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure3DynamicSchemes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure3(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure4ModelVsMeasured(b *testing.B) {
-	var meanErr float64
-	for i := 0; i < b.N; i++ {
-		data, err := experiments.Figure4Data(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var errs []float64
-		for _, app := range data {
-			for _, p := range app.Points {
-				errs = append(errs, p.ErrPct)
-			}
-		}
-		meanErr = stats.Mean(errs)
-	}
-	b.ReportMetric(meanErr, "mean-model-err-%")
-}
-
-func BenchmarkFigure5RAPLvsDVFS(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure5(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- extension / ablation benchmarks (DESIGN.md extensions) ---
-
-// BenchmarkAblationAlphaFit quantifies the model improvement from
-// fitting α per application instead of the paper's fixed α=2.
-func BenchmarkAblationAlphaFit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ExtAlphaFit(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationTechniques compares the NRM's three power-limiting
-// knobs (RAPL / DVFS / DDCM) on compute- and memory-bound codes.
-func BenchmarkAblationTechniques(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ExtTechniques(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCompositeProgress exercises the Category 3 (URBAN) weighted
-// multi-component progress extension.
-func BenchmarkCompositeProgress(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ExtComposite(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationClusterPolicies compares job-level power-division
-// policies over heterogeneous nodes.
-func BenchmarkAblationClusterPolicies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ExtCluster(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationEnergy sweeps energy-to-solution and EDP across the
-// cap range for fixed work.
-func BenchmarkAblationEnergy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ExtEnergy(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationMethod cross-validates constant-cap measurement
-// against the paper's step schedule.
-func BenchmarkAblationMethod(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ExtMethod(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // --- cluster stepping benchmarks ---
 
@@ -201,7 +39,7 @@ func benchClusterEpochs(b *testing.B, workers int) {
 	var nodeEpochs int
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		opts := benchOpts()
+		opts := experiments.DefaultOptions()
 		opts.Seed = uint64(i + 1)
 		opts.NodeWorkers = workers
 		m, err := experiments.NewFleetManager(opts, fleetNodes, cluster.EqualSplit{})
@@ -225,10 +63,10 @@ func benchClusterEpochs(b *testing.B, workers int) {
 func BenchmarkClusterEpochSerial(b *testing.B) { benchClusterEpochs(b, 1) }
 
 // BenchmarkClusterEpochParallel is the same fleet sharded across
-// GOMAXPROCS workers. benchreport derives parallel_speedup from this
-// pair; on a multi-core host it should approach min(GOMAXPROCS, shards),
-// and on a 1-CPU host ~1.0 (the pool's only overhead is goroutine
-// startup and the epoch barrier).
+// GOMAXPROCS workers. Against the serial pair, on a multi-core host it
+// should approach min(GOMAXPROCS, shards) times faster, and on a 1-CPU
+// host about the same (the pool's only overhead is goroutine startup
+// and the epoch barrier).
 func BenchmarkClusterEpochParallel(b *testing.B) { benchClusterEpochs(b, 0) }
 
 // --- checkpoint/fork benchmarks ---
@@ -274,8 +112,7 @@ func BenchmarkCheckpointResume(b *testing.B) {
 // benchForkSweep runs a sweep-heavy cell ladder — six Step schemes that
 // share an 8-second uncapped-prefix and diverge in their low-cap phase —
 // through one serial Runner, from scratch or with checkpoint forking.
-// benchreport derives fork_speedup from the Scratch/Forked ns/op pair
-// and fork_hit_rate from the custom metrics.
+// The Scratch/Forked ns/op ratio is the fork pool's speedup.
 func benchForkSweep(b *testing.B, forking bool) {
 	lows := []float64{70, 80, 90, 100, 110, 120}
 	b.ReportAllocs()

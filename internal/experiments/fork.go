@@ -27,7 +27,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"sort"
 	"sync"
 	"time"
 
@@ -171,8 +170,8 @@ type prefixFingerprint struct {
 	// inclusive (events at exactly t fire when advancing to t).
 	Caps []float64 `json:",omitempty"`
 	// Faults is the run's fault plan truncated to the prefix: schedules
-	// (blackouts, disconnects, permission/gone windows) clipped to
-	// [0, Depth], everything probabilistic kept verbatim — rates and the
+	// (blackouts, permission/gone windows) clipped to [0, Depth],
+	// everything probabilistic kept verbatim — rates and the
 	// stream seed shift RNG draws inside the prefix, so they must be
 	// equal, while a blackout that starts after the prefix cannot.
 	Faults *fault.Plan `json:",omitempty"`
@@ -242,9 +241,8 @@ func (b forkBase) key(depth int) string {
 // fingerprint identically: implicit defaults are made explicit (the
 // injector applies them at construction) and time schedules are clipped
 // at depth — an event at exactly depth seconds still fires (events at t
-// fire when advancing to t), so windows clamp to depth+1ns and
-// instants keep <= depth. Returns nil for a disabled plan (the runner
-// installs no injector then).
+// fire when advancing to t), so windows clamp to depth+1ns. Returns nil
+// for a disabled plan (the runner installs no injector then).
 func prefixFaults(plan fault.Plan, depth int) *fault.Plan {
 	if !plan.Enabled() {
 		return nil
@@ -261,14 +259,6 @@ func prefixFaults(plan fault.Plan, depth int) *fault.Plan {
 		p.Counters.GlitchScale = 1024
 	}
 	p.PubSub.Blackouts = clipWindows(p.PubSub.Blackouts, t)
-	var disc []time.Duration
-	for _, d := range p.PubSub.Disconnects {
-		if d <= t {
-			disc = append(disc, d)
-		}
-	}
-	sort.Slice(disc, func(i, j int) bool { return disc[i] < disc[j] })
-	p.PubSub.Disconnects = disc
 	if p.Powercap != nil {
 		pc := *p.Powercap
 		pc.PermWindows = clipWindows(pc.PermWindows, t)

@@ -21,10 +21,7 @@
 //   - PubSubPlan  — progress-report transport faults (drop / delay /
 //     duplicate / blackout), intercepted between the Reporter and the
 //     in-process Bus by the engine; delayed messages re-enter later,
-//     which also produces reordering. The Disconnects schedule is
-//     validated and exposed through KickDue, but no simulation or
-//     command calls KickDue or pubsub.(*Publisher).KickAll yet: a
-//     Disconnects plan perturbs nothing.
+//     which also produces reordering.
 //   - MSRPlan     — stale reads, transient EIO, and an energy-counter
 //     seed just below the 32-bit wrap, through msr.Device's fault hook.
 //   - CounterPlan — TOT_INS/L3_TCM read glitches and overflow offsets,
@@ -64,16 +61,11 @@ type PubSubPlan struct {
 	// Blackouts are windows during which every publish is dropped — the
 	// total-silence scenario the NRM's degraded mode must ride through.
 	Blackouts []Window
-	// Disconnects schedules TCP transport kicks for an owner of a
-	// pubsub.Publisher to read through KickDue. Nothing reads it yet,
-	// so it has no effect on any run.
-	Disconnects []time.Duration
 }
 
 // Enabled reports whether the plan can perturb anything.
 func (p PubSubPlan) Enabled() bool {
-	return p.DropRate > 0 || p.DelayRate > 0 || p.DupRate > 0 ||
-		len(p.Blackouts) > 0 || len(p.Disconnects) > 0
+	return p.DropRate > 0 || p.DelayRate > 0 || p.DupRate > 0 || len(p.Blackouts) > 0
 }
 
 // MSRPlan injects model-specific-register access faults.

@@ -125,27 +125,6 @@ func TestPubSubBlackout(t *testing.T) {
 	}
 }
 
-func TestPubSubKickSchedule(t *testing.T) {
-	ps := NewInjector(Plan{PubSub: PubSubPlan{
-		Disconnects: []time.Duration{3 * time.Second, time.Second},
-	}}).PubSub()
-	if ps.KickDue(500 * time.Millisecond) {
-		t.Fatal("kick before schedule")
-	}
-	if !ps.KickDue(time.Second) {
-		t.Fatal("first kick (schedule is sorted) missed")
-	}
-	if ps.KickDue(2 * time.Second) {
-		t.Fatal("second kick fired early")
-	}
-	if !ps.KickDue(3 * time.Second) {
-		t.Fatal("second kick missed")
-	}
-	if ps.KickDue(time.Hour) {
-		t.Fatal("kick after schedule exhausted")
-	}
-}
-
 func TestMSRHookEIOAndStale(t *testing.T) {
 	dev := msr.NewDevice(1, nil)
 	inj := NewInjector(Plan{Seed: 11, MSR: MSRPlan{ReadEIORate: 1.0}})

@@ -18,18 +18,15 @@ type delayed struct {
 
 // PubSub perturbs the progress-report transport. The engine routes every
 // publish through Intercept and releases delayed messages with Due each
-// tick; KickDue reports scheduled TCP disconnects, though no caller acts
-// on them yet. All methods are meant
-// for the single-threaded simulation loop and are not safe for concurrent
-// use.
+// tick. All methods are meant for the single-threaded simulation loop and
+// are not safe for concurrent use.
 type PubSub struct {
 	// plan is construction configuration.
 	plan PubSubPlan `snap:"-"`
 	rng  *simtime.RNG
 
-	queue   []delayed
-	seq     uint64
-	kickIdx int
+	queue []delayed
+	seq   uint64
 
 	// Stats.
 	dropped   uint64
@@ -42,9 +39,6 @@ func newPubSub(plan PubSubPlan, rng *simtime.RNG) *PubSub {
 	if plan.MaxDelay <= 0 {
 		plan.MaxDelay = 200 * time.Millisecond
 	}
-	sort.Slice(plan.Disconnects, func(i, j int) bool {
-		return plan.Disconnects[i] < plan.Disconnects[j]
-	})
 	return &PubSub{plan: plan, rng: rng}
 }
 
@@ -128,20 +122,6 @@ func (f *PubSub) NextDueAt() (t time.Duration, ok bool) {
 
 // Pending returns how many delayed messages are still held.
 func (f *PubSub) Pending() int { return len(f.queue) }
-
-// KickDue reports whether a scheduled TCP disconnect falls due at or
-// before now, consuming it. An owner of a pubsub.Publisher would respond
-// by calling KickAll; no code does so yet.
-func (f *PubSub) KickDue(now time.Duration) bool {
-	if f.kickIdx >= len(f.plan.Disconnects) {
-		return false
-	}
-	if f.plan.Disconnects[f.kickIdx] <= now {
-		f.kickIdx++
-		return true
-	}
-	return false
-}
 
 // Stats returns the injector's fault counts.
 func (f *PubSub) Stats() (dropped, delayed, duplicated, blackout uint64) {

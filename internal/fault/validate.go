@@ -30,7 +30,7 @@ func rate01(name string, r float64) error {
 	return nil
 }
 
-// Validate checks rates, delays, and schedules.
+// Validate checks rates, delays, and blackout windows.
 func (p PubSubPlan) Validate() error {
 	if err := rate01("PubSub.DropRate", p.DropRate); err != nil {
 		return err
@@ -47,11 +47,6 @@ func (p PubSubPlan) Validate() error {
 	for i, b := range p.Blackouts {
 		if err := b.Validate(); err != nil {
 			return fmt.Errorf("fault: blackout %d: %w", i, err)
-		}
-	}
-	for i, d := range p.Disconnects {
-		if d <= 0 {
-			return fmt.Errorf("fault: disconnect %d at %v is not after time zero", i, d)
 		}
 	}
 	return nil

@@ -16,11 +16,10 @@ func TestValidateAcceptsRealisticPlan(t *testing.T) {
 	p := Plan{
 		Seed: 7,
 		PubSub: PubSubPlan{
-			DropRate:    0.1,
-			DelayRate:   0.05,
-			MaxDelay:    150 * time.Millisecond,
-			Blackouts:   []Window{{From: 2 * time.Second, To: 4 * time.Second}},
-			Disconnects: []time.Duration{3 * time.Second},
+			DropRate:  0.1,
+			DelayRate: 0.05,
+			MaxDelay:  150 * time.Millisecond,
+			Blackouts: []Window{{From: 2 * time.Second, To: 4 * time.Second}},
 		},
 		MSR:      MSRPlan{StaleReadRate: 0.02, ReadEIORate: 0.01, EnergyWrapRaw: 1 << 31},
 		Counters: CounterPlan{GlitchRate: 0.01, GlitchScale: 512},
@@ -75,7 +74,6 @@ func TestValidateRejections(t *testing.T) {
 		{"negative delay rate", Plan{PubSub: PubSubPlan{DelayRate: -0.1}}, "outside [0, 1]"},
 		{"negative max delay", Plan{PubSub: PubSubPlan{MaxDelay: -time.Second}}, "negative"},
 		{"blackout empty", Plan{PubSub: PubSubPlan{Blackouts: []Window{{From: time.Second, To: time.Second}}}}, "empty or inverted"},
-		{"disconnect at zero", Plan{PubSub: PubSubPlan{Disconnects: []time.Duration{0}}}, "not after time zero"},
 		{"stale rate above one", Plan{MSR: MSRPlan{StaleReadRate: 2}}, "outside [0, 1]"},
 		{"glitch rate negative", Plan{Counters: CounterPlan{GlitchRate: -1}}, "outside [0, 1]"},
 		{"glitch scale negative", Plan{Counters: CounterPlan{GlitchRate: 0.1, GlitchScale: -2}}, "negative"},

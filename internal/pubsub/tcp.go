@@ -16,8 +16,11 @@ const subscribeTopic = "\x00subscribe"
 type Publisher struct {
 	ln net.Listener
 
-	mu        sync.Mutex
-	conns     map[*pubConn]struct{}
+	mu sync.Mutex
+	// conns is copy-on-write: accept and dropConn publish a new slice
+	// and no slice is written once published, so a reader ranges over
+	// the one it loaded without holding mu and without copying it.
+	conns     []*pubConn
 	accepted  uint64
 	dropped   uint64 // connections torn down (write error, kick, close)
 	lostDrops uint64 // message drops inherited from torn-down connections
@@ -47,7 +50,7 @@ func NewPublisher(addr string) (*Publisher, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Publisher{ln: ln, conns: make(map[*pubConn]struct{})}
+	p := &Publisher{ln: ln}
 	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
@@ -70,7 +73,7 @@ func (p *Publisher) acceptLoop() {
 			conn.Close()
 			return
 		}
-		p.conns[pc] = struct{}{}
+		p.conns = append(p.conns[:len(p.conns):len(p.conns)], pc)
 		p.accepted++
 		p.mu.Unlock()
 		p.wg.Add(2)
@@ -97,15 +100,20 @@ func (p *Publisher) readLoop(pc *pubConn) {
 }
 
 // writeLoop sends queued messages until the queue is closed and empty
-// or a write fails.
+// or a write fails. It encodes every frame into one reused buffer.
 func (p *Publisher) writeLoop(pc *pubConn) {
 	defer p.wg.Done()
+	var frame []byte
 	for {
 		m, ok := pc.out.pop(true)
 		if !ok {
 			return
 		}
-		if err := WriteFrame(pc.conn, m); err != nil {
+		var err error
+		if frame, err = EncodeFrame(frame[:0], m); err == nil {
+			_, err = pc.conn.Write(frame)
+		}
+		if err != nil {
 			p.dropConn(pc)
 			return
 		}
@@ -119,7 +127,12 @@ func (p *Publisher) dropConn(pc *pubConn) {
 		return
 	}
 	p.mu.Lock()
-	delete(p.conns, pc)
+	for i, c := range p.conns {
+		if c == pc {
+			p.conns = append(p.conns[:i:i], p.conns[i+1:]...)
+			break
+		}
+	}
 	p.dropped++
 	p.lostDrops += pc.out.drops() // final: a closed queue counts no drops
 	p.mu.Unlock()
@@ -149,15 +162,8 @@ func (pc *pubConn) matches(topic string) bool {
 // Publish fans m out to matching subscribers without blocking. It returns
 // the number of subscriber queues that accepted the message.
 func (p *Publisher) Publish(m Message) int {
-	p.mu.Lock()
-	conns := make([]*pubConn, 0, len(p.conns))
-	for pc := range p.conns {
-		conns = append(conns, pc)
-	}
-	p.mu.Unlock()
-
 	delivered := 0
-	for _, pc := range conns {
+	for _, pc := range p.live() {
 		if pc.offer(m) {
 			delivered++
 		}
@@ -170,24 +176,22 @@ func (p *Publisher) Publish(m Message) int {
 // Subscribers that reconnect (see DialReconnect) are accepted again. It
 // returns how many connections were dropped.
 func (p *Publisher) KickAll() int {
-	p.mu.Lock()
-	conns := make([]*pubConn, 0, len(p.conns))
-	for pc := range p.conns {
-		conns = append(conns, pc)
-	}
-	p.mu.Unlock()
+	conns := p.live()
 	for _, pc := range conns {
 		p.dropConn(pc)
 	}
 	return len(conns)
 }
 
-// NumSubscribers returns the number of live subscriber connections.
-func (p *Publisher) NumSubscribers() int {
+// live returns the current connection slice, which nobody writes.
+func (p *Publisher) live() []*pubConn {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.conns)
+	return p.conns
 }
+
+// NumSubscribers returns the number of live subscriber connections.
+func (p *Publisher) NumSubscribers() int { return len(p.live()) }
 
 // SubscriberStats is one live subscriber connection's transport health.
 type SubscriberStats struct {
@@ -214,10 +218,7 @@ type PublisherStats struct {
 // gone away stay counted in Dropped.
 func (p *Publisher) Stats() PublisherStats {
 	p.mu.Lock()
-	conns := make([]*pubConn, 0, len(p.conns))
-	for pc := range p.conns {
-		conns = append(conns, pc)
-	}
+	conns := p.conns
 	st := PublisherStats{
 		Accepted:  p.accepted,
 		ConnsLost: p.dropped,
@@ -252,10 +253,7 @@ func (p *Publisher) Close() error {
 		return nil
 	}
 	p.closed = true
-	conns := make([]*pubConn, 0, len(p.conns))
-	for pc := range p.conns {
-		conns = append(conns, pc)
-	}
+	conns := p.conns
 	p.mu.Unlock()
 
 	err := p.ln.Close()

@@ -1,6 +1,8 @@
 package pubsub
 
 import (
+	"net"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -364,12 +366,7 @@ func TestPublisherStatsCountsShedsAcrossConnDeath(t *testing.T) {
 	// Simulate a slow subscriber: overflow its 1024-slot queue while the
 	// write loop is blocked behind an unread TCP buffer. Rather than fight
 	// real TCP buffering, inject drops directly through the conn snapshot.
-	p.mu.Lock()
-	var pc *pubConn
-	for c := range p.conns {
-		pc = c
-	}
-	p.mu.Unlock()
+	pc := p.live()[0]
 	pc.out.mu.Lock()
 	pc.out.dropped = 7
 	pc.out.mu.Unlock()
@@ -387,5 +384,60 @@ func TestPublisherStatsCountsShedsAcrossConnDeath(t *testing.T) {
 	}
 	if got := p.Stats().Dropped; got != 7 {
 		t.Fatalf("drops after conn death = %d, want 7 (inherited)", got)
+	}
+}
+
+// TestTCPPublishAllocatesNothing: with one matching subscriber
+// connected, a publish and its write allocate nothing.
+// Publish ranges over the copy-on-write connection slice, the queue
+// keeps its capacity and the write loop reuses its frame buffer. The
+// subscriber is a raw connection reading into a fixed buffer, so
+// decoding costs nothing here.
+func TestTCPPublishAllocatesNothing(t *testing.T) {
+	p, err := NewPublisher("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	conn, err := net.Dial("tcp", p.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := WriteFrame(conn, Message{Topic: subscribeTopic, Payload: []byte("progress.")}); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		buf := make([]byte, 4096)
+		for {
+			if _, err := conn.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	m := Message{Topic: "progress.lammps", Payload: []byte("12345.678")}
+	deadline := time.Now().Add(5 * time.Second)
+	for p.Publish(m) == 0 { // the prefix registers asynchronously
+		if time.Now().After(deadline) {
+			t.Fatal("subscription never registered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Each run waits for the write loop to take the message, so the
+	// loop's encoding falls inside the measurement too.
+	pc := p.live()[0]
+	const runs = 500
+	delivered := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		delivered += p.Publish(m)
+		for pc.out.len() > 0 {
+			runtime.Gosched()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a publish and its write allocate %v times per message", allocs)
+	}
+	if delivered != runs+1 {
+		t.Errorf("%d of %d publishes delivered", delivered, runs+1)
 	}
 }

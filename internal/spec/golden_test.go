@@ -15,7 +15,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // every disk cache and every committed corpus entry is invalidated.
 // That can be the right call — but it must be deliberate, so bump
 // spec.Version, regenerate with -update, and say so in the changelog.
-const goldenHash = "v1-6cc12ff57446cddc5265a4534d7a493d7448604d8b3caad0827179210cd65907"
+const goldenHash = "v2-4e2ea8eab9a5b7fad1becf1be3b10019b216c853c7bff1ed45a1cdf6ec58c145"
 
 func TestGoldenScenario(t *testing.T) {
 	s := testScenario()

@@ -37,7 +37,7 @@ import (
 // Version is the spec schema version. It participates in the content
 // hash, so a schema change invalidates every cached result and corpus
 // hash at once instead of silently aliasing old entries.
-const Version = 1
+const Version = 2
 
 // Manager names a cluster scenario's fault plan may reference. They
 // mirror cluster.PrimaryManager / cluster.StandbyManager (asserted by a
@@ -428,7 +428,7 @@ func (s Scenario) FaultCount() int {
 			n++
 		}
 	}
-	n += len(ps.Blackouts) + len(ps.Disconnects)
+	n += len(ps.Blackouts)
 	m := s.Faults.MSR
 	for _, r := range []float64{m.StaleReadRate, m.ReadEIORate, m.WriteEIORate} {
 		if r > 0 {

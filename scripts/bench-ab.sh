@@ -17,11 +17,16 @@
 #
 # For every end-to-end metric BENCHMARK.json declares, the summary gives
 # each side's median and quartiles, the base/change ratio of the medians
-# (above 1 when the working tree is faster or smaller) and the number of
-# pairs the working tree won; every such metric is lower-is-better, and
-# ties count for neither side. It exits non-zero if a run fails, an op
-# fails, or the two trees print different digests for one seed on any
-# workload.
+# (above 1 when the working tree is faster or smaller), the number of
+# pairs the working tree won and the metric's bound; every such metric is
+# lower-is-better, and ties count for neither side. A row whose change
+# median exceeds the base median by more than the bound (a fraction of
+# the base median) is marked REGRESSED. It exits non-zero if a run
+# fails, an op fails, the two trees print different digests for one seed
+# on any workload, or any row is REGRESSED; against the merge base with
+# the workload "all", that is the repository's perf gate. It refuses to
+# start (exit 2) unless it reads exactly one bound per end-to-end metric
+# from BENCHMARK.json, so a reformatted file cannot switch the gate off.
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 3 ]]; then
@@ -33,10 +38,19 @@ base_rev=$1 pairs=${3:-10}
 root=$(git rev-parse --show-toplevel)
 cd "$root"
 run_seconds=$(sed -n 's/^ *"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)
-metrics=$(sed -n '/"end_to_end"/,/"per_layer"/s/^ *"name": *"\([^"]*\)".*/\1/p' BENCHMARK.json)
+mapfile -t metrics < <(sed -n '/"end_to_end"/,/"per_layer"/s/^ *"name": *"\([^"]*\)".*/\1/p' BENCHMARK.json)
+mapfile -t bounds < <(sed -n '/"end_to_end"/,/"per_layer"/s/^ *"bound": *\([0-9][0-9.eE+-]*\).*/\1/p' BENCHMARK.json)
+if ((${#metrics[@]} == 0 || ${#bounds[@]} != ${#metrics[@]})); then
+	echo "bench-ab: read ${#bounds[@]} bounds for ${#metrics[@]} end-to-end metrics from BENCHMARK.json" >&2
+	exit 2
+fi
 workloads=$2
 if [[ $workloads == all ]]; then
 	workloads=$(sed -n '/"workloads"/,/"end_to_end"/s/^ *"name": *"\([^"]*\)".*/\1/p' BENCHMARK.json)
+fi
+if [[ -z $workloads ]]; then
+	echo "bench-ab: read no workloads from BENCHMARK.json" >&2
+	exit 2
 fi
 
 tmp=$(mktemp -d)
@@ -102,14 +116,20 @@ ab() {
 
 	echo
 	echo "$workload: $pairs pairs, ${run_seconds} s runs, base $base_rev against the working tree"
-	printf '%-12s %-28s %-28s %-12s %s\n' metric "base median [q1, q3]" "change median [q1, q3]" base/change "change wins"
-	for m in $metrics; do
+	printf '%-12s %-28s %-28s %-12s %-12s %s\n' metric "base median [q1, q3]" "change median [q1, q3]" \
+		base/change "change wins" bound
+	for i in "${!metrics[@]}"; do
+		m=${metrics[i]}
 		read -r bm bq1 bq3 < <(values base "$m" | stats)
 		read -r cm cq1 cq3 < <(values change "$m" | stats)
 		wins=$(paste <(values base "$m") <(values change "$m") | awk '$2 < $1 { w++ } END { print w + 0 }')
-		ratio=$(awk -v b="$bm" -v c="$cm" 'BEGIN { printf "%.3f", b / c }')
-		printf '%-12s %-28s %-28s %-12s %s/%s\n' "$m" "$bm [$bq1, $bq3]" "$cm [$cq1, $cq3]" \
-			"$ratio" "$wins" "$pairs"
+		read -r ratio bound verdict < <(awk -v b="$bm" -v c="$cm" -v x="${bounds[i]}" 'BEGIN {
+			printf "%.3f +%g%% %s\n", b / c, 100 * x, (c > b * (1 + x)) ? "REGRESSED" : "" }')
+		if [[ -n $verdict ]]; then
+			status=1
+		fi
+		printf '%-12s %-28s %-28s %-12s %-12s %-6s %s\n' "$m" "$bm [$bq1, $bq3]" "$cm [$cq1, $cq3]" \
+			"$ratio" "$wins/$pairs" "$bound" "$verdict"
 	done
 }
 
@@ -118,6 +138,6 @@ for workload in $workloads; do
 	ab
 done
 if ((status)); then
-	echo "bench-ab: digests differ or ops failed (see above)" >&2
+	echo "bench-ab: digests differ, ops failed or a metric regressed past its bound (see above)" >&2
 fi
 exit "$status"
