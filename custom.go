@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"time"
 
+	"progresscap/internal/apps"
 	"progresscap/internal/simtime"
 	"progresscap/internal/workload"
 )
@@ -54,10 +55,9 @@ type CustomApp struct {
 }
 
 // build converts the description into the internal workload model.
+// workload.Validate checks what the workload itself requires (a name,
+// ranks, phases with iterations); build checks the phase parameters.
 func (a CustomApp) build() (*workload.Workload, error) {
-	if a.Name == "" {
-		return nil, fmt.Errorf("progresscap: custom app needs a Name")
-	}
 	metric := a.Metric
 	if metric == "" {
 		metric = "iterations/s"
@@ -66,17 +66,8 @@ func (a CustomApp) build() (*workload.Workload, error) {
 	if ranks == 0 {
 		ranks = 24
 	}
-	if ranks < 1 {
-		return nil, fmt.Errorf("progresscap: custom app %s: Ranks = %d", a.Name, a.Ranks)
-	}
-	if len(a.Phases) == 0 {
-		return nil, fmt.Errorf("progresscap: custom app %s has no phases", a.Name)
-	}
 	w := &workload.Workload{Name: a.Name, Metric: metric, Ranks: ranks}
 	for i, p := range a.Phases {
-		if p.Iterations <= 0 {
-			return nil, fmt.Errorf("progresscap: %s phase %d: Iterations = %d", a.Name, i, p.Iterations)
-		}
 		if p.Period <= 0 {
 			return nil, fmt.Errorf("progresscap: %s phase %d: Period = %v", a.Name, i, p.Period)
 		}
@@ -97,66 +88,43 @@ func (a CustomApp) build() (*workload.Workload, error) {
 		if name == "" {
 			name = fmt.Sprintf("phase%d", i)
 		}
-		progressPer := p.ProgressPerIter
-		if progressPer == 0 {
-			progressPer = 1
-		}
-		ipc := p.IPC
-		if ipc == 0 {
-			ipc = 1.5
-		}
-		mpo := p.MPO
-		if mpo == 0 {
-			mpo = 1e-3
-		}
-		bwShare := p.BWShare
-		if bwShare == 0 {
-			bwShare = 1 / float64(ranks)
-		}
-		durSec := p.Period.Seconds()
-		beta := p.Beta
-		rankAmp := p.RankImbalance
+		progressPer := orDefault(p.ProgressPerIter, 1)
+		ipc := orDefault(p.IPC, 1.5)
+		mpo := orDefault(p.MPO, 1e-3)
+		bwShare := orDefault(p.BWShare, 1/float64(ranks))
 		w.Phases = append(w.Phases, workload.Phase{
 			Name:            name,
 			Iterations:      p.Iterations,
 			ProgressPerIter: progressPer,
 			SharedJitter:    p.Jitter,
 			Gen: func(rank, iter int, shared float64, rng *simtime.RNG) workload.Segment {
-				d := durSec * shared
-				if rankAmp > 0 {
-					d *= rng.Jitter(rankAmp)
+				d := p.Period.Seconds() * shared
+				if p.RankImbalance > 0 {
+					d *= rng.Jitter(p.RankImbalance)
 				}
-				ct := d * beta
-				cycles := ct * 3.3e9
-				inst := cycles * ipc
-				return workload.Segment{
-					ComputeCycles: cycles,
-					MemSeconds:    d * (1 - beta),
-					Instructions:  inst,
-					L3Misses:      inst * mpo,
-					BWShare:       bwShare,
-					WorkUnits:     progressPer / float64(ranks),
-				}
+				return apps.Seg(d, p.Beta, ipc, mpo, bwShare, progressPer/float64(ranks))
 			},
 		})
 	}
 	if err := w.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("progresscap: custom app: %w", err)
 	}
 	return w, nil
+}
+
+// orDefault returns v, or def when v is the zero value.
+func orDefault(v, def float64) float64 {
+	if v == 0 {
+		return def
+	}
+	return v
 }
 
 // RunCustom runs a user-defined application model under the same node
 // and policy machinery as the built-in applications.
 func RunCustom(app CustomApp, cfg RunConfig) (*Report, error) {
-	if cfg.Seconds == 0 {
-		cfg.Seconds = 20
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.PinMHz != 0 && cfg.Scheme.impl != nil {
-		return nil, fmt.Errorf("progresscap: PinMHz and Scheme are mutually exclusive")
+	if err := cfg.normalize(); err != nil {
+		return nil, err
 	}
 	w, err := app.build()
 	if err != nil {
@@ -177,46 +145,5 @@ func CharacterizeCustom(app CustomApp, seed uint64) (Characterization, error) {
 		return Characterization{}, err
 	}
 	ideal := w.IdealDuration(3.3e9, 1, seed).Seconds()
-	fast, err := pinRun(w, 3300, seed, ideal*3+5)
-	if err != nil {
-		return Characterization{}, err
-	}
-	slow, err := pinRun(w, 1600, seed, ideal*8+5)
-	if err != nil {
-		return Characterization{}, err
-	}
-	if !fast.Completed || !slow.Completed {
-		return Characterization{}, fmt.Errorf("progresscap: custom characterization runs did not complete")
-	}
-	c := Characterization{
-		App:  app.Name,
-		Beta: betaFromTimes(fast.Elapsed.Seconds(), slow.Elapsed.Seconds()),
-		MPO:  fast.Counters.MPO(),
-	}
-	rates := fast.Rates()
-	if len(rates) > 2 {
-		rates = rates[1 : len(rates)-1]
-	}
-	c.BaselineRate = meanOf(rates)
-	power := fast.PowerTrace.Values()
-	if len(power) > 2 {
-		power = power[1 : len(power)-1]
-	}
-	c.BaselinePkgW = meanOf(power)
-	return c, nil
-}
-
-func betaFromTimes(tFast, tSlow float64) float64 {
-	return (tSlow/tFast - 1) / (3300.0/1600.0 - 1)
-}
-
-func meanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
+	return characterize(app.Name, func() *workload.Workload { return w }, seed, 1, ideal*3+5)
 }

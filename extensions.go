@@ -6,12 +6,13 @@ package progresscap
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"progresscap/internal/apps"
 	"progresscap/internal/cluster"
-	"progresscap/internal/composite"
 	"progresscap/internal/engine"
+	"progresscap/internal/experiments"
 )
 
 // ComponentReport describes one component stream of a composite run.
@@ -43,42 +44,16 @@ func RunURBAN(seconds float64, scheme Scheme, seed uint64) (*CompositeReport, er
 	if seconds == 0 {
 		seconds = 30
 	}
-	if seconds < 5 {
-		return nil, fmt.Errorf("progresscap: URBAN needs Seconds >= 5 (EnergyPlus steps take ~0.6 s)")
+	if !(seconds >= 5) || math.IsInf(seconds, 1) {
+		return nil, fmt.Errorf("progresscap: URBAN needs a finite Seconds >= 5 (EnergyPlus steps take ~0.6 s)")
 	}
-	if seed == 0 {
-		seed = 1
-	}
-	runOnce := func(s Scheme, dur float64) (*engine.Result, error) {
-		nek, eplus := apps.URBANComponents(dur)
-		cfg := engine.DefaultConfig()
-		cfg.Seed = seed
-		e, err := engine.NewMulti(cfg, nek, eplus)
-		if err != nil {
-			return nil, err
-		}
-		if s.impl != nil {
-			if err := e.SetScheme(s.impl); err != nil {
-				return nil, err
-			}
-		}
-		return e.Run(time.Duration(dur*6) * time.Second)
-	}
-
-	calib, err := runOnce(Scheme{}, seconds)
+	cfg := engine.DefaultConfig()
+	cfg.Seed = seed // the engine reads 0 as 1
+	metric, base, err := experiments.URBANMetric(cfg, seconds)
 	if err != nil {
 		return nil, err
 	}
-	base := composite.BaselinesFrom(calib)
-	metric, err := composite.NewMetric(
-		composite.Component{Name: "nek5000", Weight: 2, Baseline: base["nek5000"]},
-		composite.Component{Name: "energyplus", Weight: 1, Baseline: base["energyplus"]},
-	)
-	if err != nil {
-		return nil, err
-	}
-
-	res, err := runOnce(scheme, seconds)
+	res, err := experiments.RunURBAN(cfg, scheme.impl, seconds)
 	if err != nil {
 		return nil, err
 	}
@@ -163,6 +138,9 @@ func RunCluster(cfg ClusterConfig) (*ClusterReport, error) {
 	}
 	if cfg.Seconds == 0 {
 		cfg.Seconds = 30
+	}
+	if err := checkSeconds(cfg.Seconds); err != nil {
+		return nil, err
 	}
 	var pol cluster.Policy
 	switch cfg.Policy {

@@ -28,10 +28,11 @@ const FMaxHz = 3.3e9
 // threads, one per physical core.
 const DefaultRanks = 24
 
-// seg builds a segment from an iteration-time budget: total duration at
+// Seg builds a segment from an iteration-time budget: total duration at
 // FMaxHz split into compute and memory by beta, with instruction and miss
-// counts derived from ipc and mpo.
-func seg(durSec, beta, ipc, mpo, bwShare, workUnits float64) workload.Segment {
+// counts derived from ipc and mpo. Custom application models build their
+// segments with it too.
+func Seg(durSec, beta, ipc, mpo, bwShare, workUnits float64) workload.Segment {
 	ct := durSec * beta
 	cycles := ct * FMaxHz
 	inst := cycles * ipc
@@ -66,7 +67,7 @@ func LAMMPS(ranks, steps int) *workload.Workload {
 			ProgressPerIter: atoms,
 			SharedJitter:    0.01,
 			Gen: func(rank, iter int, shared float64, rng *simtime.RNG) workload.Segment {
-				return seg(iterSec*shared, beta, ipc, mpo, 0.002, atoms/float64(ranks))
+				return Seg(iterSec*shared, beta, ipc, mpo, 0.002, atoms/float64(ranks))
 			},
 		}},
 	}
@@ -96,7 +97,7 @@ func AMG(ranks, iters int) *workload.Workload {
 				// Iteration-to-iteration cost variation dominates
 				// (Fig 1 center); a little rank imbalance on top.
 				rkJitter := rng.Jitter(0.01)
-				return seg(iterSec*shared*rkJitter, beta, ipc, mpo, 0.05, 1.0/float64(ranks))
+				return Seg(iterSec*shared*rkJitter, beta, ipc, mpo, 0.05, 1.0/float64(ranks))
 			},
 		}},
 	}
@@ -118,7 +119,7 @@ func QMCPACK(threads, vmc1, vmc2, dmc int) *workload.Workload {
 			ProgressPerIter: 1, // one block
 			SharedJitter:    0.02,
 			Gen: func(rank, iter int, shared float64, rng *simtime.RNG) workload.Segment {
-				return seg(iterSec*shared, beta, ipc, mpo, 0.02, 1.0/float64(threads))
+				return Seg(iterSec*shared, beta, ipc, mpo, 0.02, 1.0/float64(threads))
 			},
 		}
 	}
@@ -150,7 +151,7 @@ func OpenMC(threads, inactive, active, particles int) *workload.Workload {
 			ProgressPerIter: float64(particles),
 			SharedJitter:    0.03,
 			Gen: func(rank, iter int, shared float64, rng *simtime.RNG) workload.Segment {
-				return seg(iterSec*shared, 0.93, ipc, mpo, 0.01,
+				return Seg(iterSec*shared, 0.93, ipc, mpo, 0.01,
 					float64(particles)/float64(threads))
 			},
 		}
@@ -188,7 +189,7 @@ func STREAM(threads, iters int) *workload.Workload {
 			Gen: func(rank, iter int, shared float64, rng *simtime.RNG) workload.Segment {
 				// Per-thread bandwidth share is high enough that the
 				// aggregate demand saturates the memory subsystem.
-				return seg(iterSec*shared, beta, ipc, mpo, 0.104, 1.0/float64(threads))
+				return Seg(iterSec*shared, beta, ipc, mpo, 0.104, 1.0/float64(threads))
 			},
 		}},
 	}
@@ -215,7 +216,7 @@ func CANDLE(threads, epochs int) *workload.Workload {
 			ProgressPerIter: 1,
 			SharedJitter:    0.04,
 			Gen: func(rank, iter int, shared float64, rng *simtime.RNG) workload.Segment {
-				return seg(epochSec*shared, beta, ipc, mpo, 0.02, 1.0/float64(threads))
+				return Seg(epochSec*shared, beta, ipc, mpo, 0.02, 1.0/float64(threads))
 			},
 		}},
 	}

@@ -47,6 +47,15 @@ type Info struct {
 // Runnable reports whether the application has a workload model.
 func (i Info) Runnable() bool { return i.Build != nil }
 
+// CategoryLabel returns the category as Table V prints it: the paper
+// straddles CANDLE between Categories 1 and 2.
+func (i Info) CategoryLabel() string {
+	if i.Name == "CANDLE" {
+		return "1/2"
+	}
+	return i.Category.String()
+}
+
 // Registry returns the paper's application set in presentation order.
 // Interview answers follow the narrative of §III; the single-letter
 // values match Table IV.

@@ -35,7 +35,7 @@ func Nek5000(ranks, steps int) *workload.Workload {
 			ProgressPerIter: 1,
 			SharedJitter:    0.45, // the defining feature: wildly nonuniform steps
 			Gen: func(rank, iter int, shared float64, rng *simtime.RNG) workload.Segment {
-				return seg(meanIterSec*shared, beta, ipc, mpo, 0.03, 1.0/float64(ranks))
+				return Seg(meanIterSec*shared, beta, ipc, mpo, 0.03, 1.0/float64(ranks))
 			},
 		}},
 	}
@@ -61,7 +61,7 @@ func EnergyPlus(ranks, zoneSteps int) *workload.Workload {
 			ProgressPerIter: 1,
 			SharedJitter:    0.08,
 			Gen: func(rank, iter int, shared float64, rng *simtime.RNG) workload.Segment {
-				return seg(stepSec*shared, beta, ipc, mpo, 0.04, 1.0/float64(ranks))
+				return Seg(stepSec*shared, beta, ipc, mpo, 0.04, 1.0/float64(ranks))
 			},
 		}},
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"progresscap/internal/apps"
+	"progresscap/internal/workload"
 )
 
 // quickOpts keeps unit-test runtime bounded; bench_test.go exercises the
@@ -115,17 +116,17 @@ func TestTable6MatchesPaper(t *testing.T) {
 	}
 }
 
-func TestCharacterizeBetaLAMMPS(t *testing.T) {
-	w := apps.LAMMPS(apps.DefaultRanks, 80)
-	beta, mpo, rate, pkgW, err := CharacterizeBeta(w, 1, 30)
+func TestCharacterizeLAMMPS(t *testing.T) {
+	mk := func() *workload.Workload { return apps.LAMMPS(apps.DefaultRanks, 80) }
+	c, err := Options{Seed: 1}.Characterize(mk, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if beta < 0.95 || beta > 1.02 {
-		t.Fatalf("β = %v", beta)
+	if c.Beta < 0.95 || c.Beta > 1.02 {
+		t.Fatalf("β = %v", c.Beta)
 	}
-	if mpo <= 0 || rate <= 0 || pkgW < 100 {
-		t.Fatalf("mpo=%v rate=%v pkgW=%v", mpo, rate, pkgW)
+	if c.MPO <= 0 || c.BaselineRate <= 0 || c.BaselinePkgW < 100 {
+		t.Fatalf("mpo=%v rate=%v pkgW=%v", c.MPO, c.BaselineRate, c.BaselinePkgW)
 	}
 }
 

@@ -44,7 +44,7 @@ func ExtAlphaFit(opts Options) (*Artifact, error) {
 	// shared runner they come straight from cache.
 	for _, idx := range order {
 		c := cases[idx]
-		fast, slow := opts.charSpecs(c.mk, opts.Seed, opts.RunSeconds*4)
+		fast, slow := opts.charSpecs(c.mk, opts.RunSeconds*4)
 		opts.rn().Prefetch(fast)
 		opts.rn().Prefetch(slow)
 		for _, capW := range append(append([]float64(nil), calibCaps...), evalCaps...) {
@@ -54,11 +54,11 @@ func ExtAlphaFit(opts Options) (*Artifact, error) {
 	var fixedErrs, fittedErrs []float64
 	for _, idx := range order {
 		c := cases[idx]
-		beta, _, baseRate, basePkgW, err := opts.characterize(c.mk, opts.Seed, opts.RunSeconds*4)
+		ch, err := opts.Characterize(c.mk, opts.RunSeconds*4)
 		if err != nil {
 			return nil, fmt.Errorf("ext-alpha: %s: %w", c.name, err)
 		}
-		base, err := model.FromBaseline(beta, baseRate, basePkgW)
+		base, err := model.FromBaseline(ch.Beta, ch.BaselineRate, ch.BaselinePkgW)
 		if err != nil {
 			return nil, fmt.Errorf("ext-alpha: %s: %w", c.name, err)
 		}
@@ -184,35 +184,13 @@ func ExtComposite(opts Options) (*Artifact, error) {
 	if secs < 24 {
 		secs = 24
 	}
-	runURBAN := func(scheme policy.Scheme, dur float64) (*engine.Result, error) {
-		nek, eplus := apps.URBANComponents(dur)
-		e, err := engine.NewMulti(opts.engineConfig(), nek, eplus)
-		if err != nil {
-			return nil, err
-		}
-		if scheme != nil {
-			if err := e.SetScheme(scheme); err != nil {
-				return nil, err
-			}
-		}
-		return e.Run(time.Duration(dur*6) * time.Second)
-	}
-
-	calib, err := runURBAN(nil, secs)
+	metric, base, err := URBANMetric(opts.engineConfig(), secs)
 	if err != nil {
 		return nil, fmt.Errorf("ext-composite: calibration: %w", err)
 	}
-	base := composite.BaselinesFrom(calib)
-	metric, err := composite.NewMetric(
-		composite.Component{Name: "nek5000", Weight: 2, Baseline: base["nek5000"]},
-		composite.Component{Name: "energyplus", Weight: 1, Baseline: base["energyplus"]},
-	)
-	if err != nil {
-		return nil, err
-	}
 
 	scheme := policy.Step{HighW: policy.Uncapped, LowW: 85, HighFor: 10 * time.Second, LowFor: 10 * time.Second}
-	capped, err := runURBAN(scheme, secs*2)
+	capped, err := RunURBAN(opts.engineConfig(), scheme, secs*2)
 	if err != nil {
 		return nil, fmt.Errorf("ext-composite: capped run: %w", err)
 	}
@@ -266,6 +244,43 @@ func ExtComposite(opts Options) (*Artifact, error) {
 		art.addFigure("ext_composite", plot)
 	}
 	return art, nil
+}
+
+// RunURBAN runs the Category 3 URBAN workload — Nek5000 coupled with
+// EnergyPlus on one node at different timescales — sized to seconds,
+// under scheme (nil = uncapped), for at most 6× seconds of virtual time.
+func RunURBAN(cfg engine.Config, scheme policy.Scheme, seconds float64) (*engine.Result, error) {
+	nek, eplus := apps.URBANComponents(seconds)
+	e, err := engine.NewMulti(cfg, nek, eplus)
+	if err != nil {
+		return nil, err
+	}
+	if scheme != nil {
+		if err := e.SetScheme(scheme); err != nil {
+			return nil, err
+		}
+	}
+	return e.Run(time.Duration(seconds*6) * time.Second)
+}
+
+// URBANMetric runs URBAN's uncapped calibration pass sized to seconds and
+// returns the per-component baselines it measured, with the weighted
+// multi-component progress metric built on them (Nek5000 weighted 2:1
+// over EnergyPlus).
+func URBANMetric(cfg engine.Config, seconds float64) (*composite.Metric, map[string]float64, error) {
+	calib, err := RunURBAN(cfg, nil, seconds)
+	if err != nil {
+		return nil, nil, err
+	}
+	base := composite.BaselinesFrom(calib)
+	metric, err := composite.NewMetric(
+		composite.Component{Name: "nek5000", Weight: 2, Baseline: base["nek5000"]},
+		composite.Component{Name: "energyplus", Weight: 1, Baseline: base["energyplus"]},
+	)
+	if err != nil {
+		return nil, nil, err
+	}
+	return metric, base, nil
 }
 
 // ExtEnergy sweeps the power cap and reports energy-to-solution and

@@ -70,7 +70,7 @@ func Figure4Data(opts Options) ([]Fig4App, error) {
 	// Fan the whole sweep out up front: 10 characterization runs (8 shared
 	// with Table 6 at default scale) plus caps × Reps capped runs per app.
 	for _, c := range cases {
-		fast, slow := opts.charSpecs(c.mk, opts.Seed, c.secs*4)
+		fast, slow := opts.charSpecs(c.mk, c.secs*4)
 		opts.rn().Prefetch(fast)
 		opts.rn().Prefetch(slow)
 		for _, capW := range caps {
@@ -82,15 +82,15 @@ func Figure4Data(opts Options) ([]Fig4App, error) {
 
 	var out []Fig4App
 	for _, c := range cases {
-		beta, _, baseRate, basePkgW, err := opts.characterize(c.mk, opts.Seed, c.secs*4)
+		ch, err := opts.Characterize(c.mk, c.secs*4)
 		if err != nil {
 			return nil, fmt.Errorf("figure4: characterizing %s: %w", c.name, err)
 		}
-		params, err := model.FromBaseline(beta, baseRate, basePkgW)
+		params, err := model.FromBaseline(ch.Beta, ch.BaselineRate, ch.BaselinePkgW)
 		if err != nil {
 			return nil, fmt.Errorf("figure4: %s baseline: %w", c.name, err)
 		}
-		app := Fig4App{Name: c.name, Beta: beta, Baseline: baseRate}
+		app := Fig4App{Name: c.name, Beta: ch.Beta, Baseline: ch.BaselineRate}
 		for _, capW := range caps {
 			var drops []float64
 			for rep := 0; rep < opts.Reps; rep++ {
@@ -99,7 +99,7 @@ func Figure4Data(opts Options) ([]Fig4App, error) {
 					return nil, fmt.Errorf("figure4: %s cap %v rep %d: %w", c.name, capW, rep, err)
 				}
 				capped := stats.Mean(steadyRates(res, 2))
-				drops = append(drops, baseRate-capped)
+				drops = append(drops, ch.BaselineRate-capped)
 			}
 			measured := stats.Mean(drops)
 			predicted := params.PredictDelta(capW)

@@ -273,9 +273,9 @@ func (r *Runner) Do(spec RunSpec) (*engine.Result, error) {
 }
 
 // Prefetch schedules the spec asynchronously so a later Do returns
-// immediately. Specs already scheduled or completed are left alone.
-// Unlike Do with a captured workload, Prefetch strictly requires Make to
-// build a fresh instance per call (the run executes on another goroutine).
+// immediately. Specs already scheduled or completed are left alone. The
+// run executes on another goroutine; Make may still return a shared
+// workload, since workloads are immutable (see RunSpec).
 func (r *Runner) Prefetch(spec RunSpec) {
 	key := spec.key()
 	e, created := r.claim(key, true)

@@ -5,6 +5,7 @@ import (
 
 	"progresscap/internal/apps"
 	"progresscap/internal/model"
+	"progresscap/internal/stats"
 	"progresscap/internal/trace"
 	"progresscap/internal/workload"
 )
@@ -97,11 +98,7 @@ func Tables2to4() *Artifact {
 func Table5() *Artifact {
 	tbl := trace.NewTable("", "Application", "Category", "Online performance Metric")
 	for _, info := range apps.Registry() {
-		cat := info.Category.String()
-		if info.Name == "CANDLE" {
-			cat = "1/2" // the paper straddles CANDLE between categories
-		}
-		tbl.AddRow(info.Name, cat, info.Metric)
+		tbl.AddRow(info.Name, info.CategoryLabel(), info.Metric)
 	}
 	return &Artifact{
 		ID:     "table5",
@@ -141,61 +138,60 @@ func characterizableScaled(opts Options, openmcSecs float64) []charCase {
 }
 
 // charSpecs returns the two runs of the §IV-A characterization procedure:
-// the application at 3300 MHz and at 1600 MHz (the slow run gets 2.5× the
-// budget because it must still complete). Characterization runs never arm
-// the invariant checker, preserving the historical CharacterizeBeta
-// behavior regardless of Options.CheckInvariants.
-func (o Options) charSpecs(mk func() *workload.Workload, seed uint64, maxSeconds float64) (fast, slow RunSpec) {
+// the application at 3300 MHz and at 1600 MHz from o.Seed (the slow run
+// gets 2.5× the budget because it must still complete). Characterization
+// runs never arm the invariant checker, regardless of
+// Options.CheckInvariants.
+func (o Options) charSpecs(mk func() *workload.Workload, maxSeconds float64) (fast, slow RunSpec) {
 	co := o
 	co.CheckInvariants = false
-	return co.dvfsSpec(mk, 3300, seed, maxSeconds), co.dvfsSpec(mk, 1600, seed, maxSeconds*2.5)
+	return co.dvfsSpec(mk, 3300, o.Seed, maxSeconds), co.dvfsSpec(mk, 1600, o.Seed, maxSeconds*2.5)
 }
 
-// characterize runs (or collects the memoized results of) the two
-// characterization runs and derives β, MPO, and the uncapped baseline
-// rate and package power from them.
-func (o Options) characterize(mk func() *workload.Workload, seed uint64, maxSeconds float64) (beta, mpo, rate, pkgW float64, err error) {
-	fastSpec, slowSpec := o.charSpecs(mk, seed, maxSeconds)
+// Characterization is the §IV-A measurement of one application: β from
+// the execution times at 3300 and 1600 MHz (Eq. 1 inverted), and the MPO
+// and the uncapped progress rate and package power of the 3300 MHz run —
+// the model's r(P_coremax) inputs.
+type Characterization struct {
+	Beta         float64
+	MPO          float64
+	BaselineRate float64
+	BaselinePkgW float64
+}
+
+// Characterize runs (or collects the memoized results of) the two
+// characterization runs from o.Seed on the Options' Runner, overlapping
+// them when it runs more than one simulation at once. maxSeconds bounds
+// the fast run; a run that does not complete is an error. The baseline
+// rate and power average the fast run's windows, dropping the first and
+// last when there are more than two.
+func (o Options) Characterize(mk func() *workload.Workload, maxSeconds float64) (Characterization, error) {
+	if err := o.fillDefaults(); err != nil {
+		return Characterization{}, err
+	}
+	fastSpec, slowSpec := o.charSpecs(mk, maxSeconds)
+	o.rn().Prefetch(slowSpec)
 	fast, err := o.rn().Do(fastSpec)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return Characterization{}, err
 	}
 	slow, err := o.rn().Do(slowSpec)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return Characterization{}, err
 	}
 	if !fast.Completed || !slow.Completed {
-		return 0, 0, 0, 0, fmt.Errorf("characterization runs did not complete (%v, %v)", fast.Elapsed, slow.Elapsed)
+		return Characterization{}, fmt.Errorf("characterization runs did not complete (%v, %v)", fast.Elapsed, slow.Elapsed)
 	}
-	beta = model.BetaFromTimes(fast.Elapsed.Seconds(), slow.Elapsed.Seconds(), 3300, 1600)
-	mpo = fast.Counters.MPO()
-	rates := steadyRates(fast, 1)
-	var sum float64
-	for _, r := range rates {
-		sum += r
+	power := fast.PowerTrace.Values()
+	if len(power) > 2 {
+		power = power[1 : len(power)-1]
 	}
-	if len(rates) > 0 {
-		rate = sum / float64(len(rates))
-	}
-	pkgW = meanSteadyPower(fast, 1)
-	return beta, mpo, rate, pkgW, nil
-}
-
-// CharacterizeBeta measures an application's β exactly as §IV-A
-// prescribes: execution time at 3300 MHz versus 1600 MHz, inverted
-// through the Etinski relation. It also returns the MPO and the mean
-// uncapped progress rate and package power from the fast run, which
-// Figure 4 reuses as its baseline.
-//
-// It runs on a private serial Runner; callers inside the harness should
-// prefer Options.characterize, which shares the suite's memoizing
-// scheduler.
-func CharacterizeBeta(w *workload.Workload, seed uint64, maxSeconds float64) (beta, mpo, rate, pkgW float64, err error) {
-	var o Options
-	if err := o.fillDefaults(); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	return o.characterize(func() *workload.Workload { return w }, seed, maxSeconds)
+	return Characterization{
+		Beta:         model.BetaFromTimes(fast.Elapsed.Seconds(), slow.Elapsed.Seconds(), 3300, 1600),
+		MPO:          fast.Counters.MPO(),
+		BaselineRate: stats.Mean(steadyRates(fast, 1)),
+		BaselinePkgW: stats.Mean(power),
+	}, nil
 }
 
 // Table6 reproduces Table VI: β and MPO for the five characterizable
@@ -208,20 +204,20 @@ func Table6(opts Options) (*Artifact, error) {
 	// Fan the ten characterization runs out before collecting any: the
 	// slow OpenMC pair no longer serializes behind the other four apps.
 	for _, c := range cases {
-		fast, slow := opts.charSpecs(c.mk, opts.Seed, opts.RunSeconds*4)
+		fast, slow := opts.charSpecs(c.mk, opts.RunSeconds*4)
 		opts.rn().Prefetch(fast)
 		opts.rn().Prefetch(slow)
 	}
 	tbl := trace.NewTable("", "Application", "β Metric", "MPO Metric (×10⁻³)", "Paper β", "Paper MPO (×10⁻³)")
 	for _, c := range cases {
-		beta, mpo, _, _, err := opts.characterize(c.mk, opts.Seed, opts.RunSeconds*4)
+		ch, err := opts.Characterize(c.mk, opts.RunSeconds*4)
 		if err != nil {
 			return nil, fmt.Errorf("table6: %s: %w", c.name, err)
 		}
 		tbl.AddRow(
 			c.name,
-			fmt.Sprintf("%.2f", beta),
-			fmt.Sprintf("%.2f", mpo*1e3),
+			fmt.Sprintf("%.2f", ch.Beta),
+			fmt.Sprintf("%.2f", ch.MPO*1e3),
 			fmt.Sprintf("%.2f", c.paperBeta),
 			fmt.Sprintf("%.2f", c.paperMPO*1e3),
 		)

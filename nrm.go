@@ -69,8 +69,8 @@ func RunNRM(cfg NRMConfig) (*NRMReport, error) {
 	if cfg.Seconds == 0 {
 		cfg.Seconds = 30
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
+	if err := checkSeconds(cfg.Seconds); err != nil {
+		return nil, err
 	}
 	info, err := apps.Lookup(cfg.App)
 	if err != nil {
@@ -80,7 +80,7 @@ func RunNRM(cfg NRMConfig) (*NRMReport, error) {
 		return nil, fmt.Errorf("progresscap: %s has no workload model", cfg.App)
 	}
 	ecfg := engine.DefaultConfig()
-	ecfg.Seed = cfg.Seed
+	ecfg.Seed = cfg.Seed // the engine reads 0 as 1
 	eng, err := engine.New(ecfg, info.Build(cfg.Seconds))
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package progresscap
 
 import (
+	"math"
 	"testing"
 )
 
@@ -86,5 +87,31 @@ func TestRunNRMValidation(t *testing.T) {
 	}
 	if _, err := RunNRM(NRMConfig{App: "LAMMPS", Beta: 5}); err == nil {
 		t.Fatal("invalid beta accepted")
+	}
+}
+
+// TestManagedRunsRejectBadSeconds checks that the NRM and cluster runs
+// refuse a negative or non-finite run size rather than returning an
+// empty report.
+func TestManagedRunsRejectBadSeconds(t *testing.T) {
+	runs := []struct {
+		name string
+		run  func(secs float64) error
+	}{
+		{"RunNRM", func(secs float64) error {
+			_, err := RunNRM(NRMConfig{App: "STREAM", Seconds: secs})
+			return err
+		}},
+		{"RunCluster", func(secs float64) error {
+			_, err := RunCluster(ClusterConfig{Nodes: []NodeSpec{{App: "STREAM"}}, BudgetW: 200, Seconds: secs})
+			return err
+		}},
+	}
+	for _, r := range runs {
+		for _, secs := range []float64{-5, math.NaN(), math.Inf(1)} {
+			if err := r.run(secs); err == nil {
+				t.Errorf("%s accepted Seconds = %v", r.name, secs)
+			}
+		}
 	}
 }

@@ -34,15 +34,14 @@ package progresscap
 
 import (
 	"fmt"
-	"sync"
+	"math"
 	"time"
 
 	"progresscap/internal/apps"
-	"progresscap/internal/engine"
+	"progresscap/internal/experiments"
 	"progresscap/internal/model"
 	"progresscap/internal/policy"
 	"progresscap/internal/progress"
-	"progresscap/internal/stats"
 	"progresscap/internal/workload"
 )
 
@@ -149,19 +148,42 @@ func toSeries(tr interface {
 	return Series{Times: tr.Times(), Values: tr.Values(), Unit: unit}
 }
 
-// Run executes one workload on the simulated node.
-func Run(cfg RunConfig) (*Report, error) {
+// normalize fills RunConfig's defaults and rejects settings no run can
+// honour; Run and RunCustom share it.
+func (cfg *RunConfig) normalize() error {
 	if cfg.Seconds == 0 {
 		cfg.Seconds = 20
 	}
-	if cfg.Seconds < 2 {
-		return nil, fmt.Errorf("progresscap: Seconds = %v too short (need >= 2)", cfg.Seconds)
+	if err := checkSeconds(cfg.Seconds); err != nil {
+		return err
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
 	if cfg.PinMHz != 0 && cfg.Scheme.impl != nil {
-		return nil, fmt.Errorf("progresscap: PinMHz and Scheme are mutually exclusive")
+		return fmt.Errorf("progresscap: PinMHz and Scheme are mutually exclusive")
+	}
+	if cfg.PinMHz < 0 || math.IsNaN(cfg.PinMHz) {
+		return fmt.Errorf("progresscap: PinMHz = %v is not a frequency", cfg.PinMHz)
+	}
+	return nil
+}
+
+// checkSeconds rejects a run size that is negative or not finite.
+func checkSeconds(s float64) error {
+	if s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
+		return fmt.Errorf("progresscap: Seconds = %v is not a usable run size", s)
+	}
+	return nil
+}
+
+// Run executes one workload on the simulated node.
+func Run(cfg RunConfig) (*Report, error) {
+	if err := cfg.normalize(); err != nil {
+		return nil, err
+	}
+	if cfg.Seconds < 2 {
+		return nil, fmt.Errorf("progresscap: Seconds = %v too short (need >= 2)", cfg.Seconds)
 	}
 	info, err := apps.Lookup(cfg.App)
 	if err != nil {
@@ -170,26 +192,21 @@ func Run(cfg RunConfig) (*Report, error) {
 	if !info.Runnable() {
 		return nil, fmt.Errorf("progresscap: %s is a Category %s application with no reliable online metric; it cannot be run", info.Name, info.Category)
 	}
-	w := info.Build(cfg.Seconds)
-	return runWorkload(w, cfg)
+	return runWorkload(info.Build(cfg.Seconds), cfg)
 }
 
+// runWorkload executes w as a single-node RunSpec on a serial Runner.
 func runWorkload(w *workload.Workload, cfg RunConfig) (*Report, error) {
-	ecfg := engine.DefaultConfig()
-	ecfg.Seed = cfg.Seed
-	e, err := engine.New(ecfg, w)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.PinMHz != 0 {
-		e.SetManualDVFS(cfg.PinMHz)
-	} else if cfg.Scheme.impl != nil {
-		if err := e.SetScheme(cfg.Scheme.impl); err != nil {
-			return nil, err
-		}
-	}
-	// Capping can stretch the run well past its uncapped sizing.
-	res, err := e.Run(time.Duration(cfg.Seconds*6) * time.Second)
+	res, err := experiments.NewRunner(1).Do(experiments.RunSpec{
+		Make:    func() *workload.Workload { return w },
+		Scheme:  cfg.Scheme.impl,
+		DVFSMHz: cfg.PinMHz,
+		Seed:    cfg.Seed,
+		// Capping can stretch the run well past its uncapped sizing. The
+		// ceiling, 6× that sizing, is whole seconds like RunNRM's and
+		// RunURBAN's, which convert through time.Duration(Seconds*6).
+		MaxSeconds: math.Trunc(cfg.Seconds * 6),
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -232,16 +249,16 @@ func Characterize(app string, seconds float64, seed uint64) (Characterization, e
 	return CharacterizeParallel(app, seconds, seed, 1)
 }
 
-// CharacterizeParallel is Characterize with the two pinned measurement
-// runs overlapped when parallel > 1. Each run gets its own freshly built
-// workload instance and the same seed, so the result is identical at any
-// parallelism; only wall time changes.
+// CharacterizeParallel is Characterize on a scheduler that runs up to
+// parallel simulations at once, so the 3300 and 1600 MHz measurement runs
+// overlap when parallel > 1. The result is identical at any parallelism;
+// only wall time changes.
 func CharacterizeParallel(app string, seconds float64, seed uint64, parallel int) (Characterization, error) {
 	if seconds == 0 {
 		seconds = 20
 	}
-	if seed == 0 {
-		seed = 1
+	if err := checkSeconds(seconds); err != nil {
+		return Characterization{}, err
 	}
 	info, err := apps.Lookup(app)
 	if err != nil {
@@ -250,62 +267,24 @@ func CharacterizeParallel(app string, seconds float64, seed uint64, parallel int
 	if !info.Runnable() {
 		return Characterization{}, fmt.Errorf("progresscap: cannot characterize Category %s application %s", info.Category, info.Name)
 	}
-
-	var (
-		fast, slow       *engine.Result
-		fastErr, slowErr error
-	)
-	runFast := func() { fast, fastErr = pinRun(info.Build(seconds), 3300, seed, seconds*4) }
-	runSlow := func() { slow, slowErr = pinRun(info.Build(seconds), 1600, seed, seconds*8) }
-	if parallel > 1 {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runSlow()
-		}()
-		runFast()
-		wg.Wait()
-	} else {
-		runFast()
-		runSlow()
-	}
-	if fastErr != nil {
-		return Characterization{}, fastErr
-	}
-	if slowErr != nil {
-		return Characterization{}, slowErr
-	}
-	if !fast.Completed || !slow.Completed {
-		return Characterization{}, fmt.Errorf("progresscap: characterization runs did not complete")
-	}
-	c := Characterization{
-		App:  app,
-		Beta: model.BetaFromTimes(fast.Elapsed.Seconds(), slow.Elapsed.Seconds(), 3300, 1600),
-		MPO:  fast.Counters.MPO(),
-	}
-	rates := fast.Rates()
-	if len(rates) > 2 {
-		rates = rates[1 : len(rates)-1]
-	}
-	c.BaselineRate = stats.Mean(rates)
-	power := fast.PowerTrace.Values()
-	if len(power) > 2 {
-		power = power[1 : len(power)-1]
-	}
-	c.BaselinePkgW = stats.Mean(power)
-	return c, nil
+	mk := func() *workload.Workload { return info.Build(seconds) }
+	return characterize(app, mk, seed, parallel, seconds*4)
 }
 
-func pinRun(w *workload.Workload, mhz float64, seed uint64, maxSeconds float64) (*engine.Result, error) {
-	ecfg := engine.DefaultConfig()
-	ecfg.Seed = seed
-	e, err := engine.New(ecfg, w)
+// characterize runs the §IV-A procedure through the experiments Runner;
+// maxSeconds bounds the 3300 MHz run.
+func characterize(app string, mk func() *workload.Workload, seed uint64, parallel int, maxSeconds float64) (Characterization, error) {
+	c, err := experiments.Options{Parallel: parallel, Seed: seed}.Characterize(mk, maxSeconds)
 	if err != nil {
-		return nil, err
+		return Characterization{}, fmt.Errorf("progresscap: characterizing %s: %w", app, err)
 	}
-	e.SetManualDVFS(mhz)
-	return e.Run(time.Duration(maxSeconds * float64(time.Second)))
+	return Characterization{
+		App:          app,
+		Beta:         c.Beta,
+		MPO:          c.MPO,
+		BaselineRate: c.BaselineRate,
+		BaselinePkgW: c.BaselinePkgW,
+	}, nil
 }
 
 // Model is the paper's analytical model (Eqs. 1–7) fitted to one
@@ -363,14 +342,10 @@ type AppInfo struct {
 func Applications() []AppInfo {
 	var out []AppInfo
 	for _, info := range apps.Registry() {
-		cat := info.Category.String()
-		if info.Name == "CANDLE" {
-			cat = "1/2"
-		}
 		out = append(out, AppInfo{
 			Name:        info.Name,
 			Description: info.Description,
-			Category:    cat,
+			Category:    info.CategoryLabel(),
 			Metric:      info.Metric,
 			Resource:    info.Resource,
 			Runnable:    info.Runnable(),

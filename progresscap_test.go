@@ -87,6 +87,12 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(RunConfig{App: "LAMMPS", PinMHz: 2000, Scheme: ConstantCap(100)}); err == nil {
 		t.Fatal("PinMHz + Scheme accepted")
 	}
+	if _, err := Run(RunConfig{App: "LAMMPS", Seconds: math.NaN()}); err == nil {
+		t.Fatal("NaN Seconds accepted")
+	}
+	if _, err := Run(RunConfig{App: "LAMMPS", PinMHz: -5}); err == nil {
+		t.Fatal("negative PinMHz accepted")
+	}
 }
 
 func TestSchemeNames(t *testing.T) {

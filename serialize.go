@@ -20,9 +20,6 @@ type characterizationJSON struct {
 	MPO          float64 `json:"mpo"`
 	BaselineRate float64 `json:"baseline_rate"`
 	BaselinePkgW float64 `json:"baseline_pkg_w"`
-	// Alpha records the exponent to use for predictions; 0 means the
-	// paper's default (2).
-	Alpha float64 `json:"alpha,omitempty"`
 }
 
 const characterizationVersion = 1
