@@ -10,7 +10,8 @@
 // tables and figures simulate once; -parallel bounds how many
 // simulations run concurrently (default GOMAXPROCS). Output is
 // byte-identical at any -parallel setting. A scheduler summary line
-// (runs executed, cache hits, peak workers, wall time) goes to stderr.
+// (runs executed, cache hits, peak workers, wall time) and a memory line
+// (bytes allocated, mallocs and GC cycles during the run) go to stderr.
 package main
 
 import (
@@ -141,6 +142,8 @@ func main() {
 		Backend:         *backend,
 		Forking:         *forking,
 	}.WithRunner(runner)
+	var memStart runtime.MemStats
+	runtime.ReadMemStats(&memStart)
 	start := time.Now()
 
 	want := map[string]bool{}
@@ -205,6 +208,10 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "experiments: %d runs executed, %d served from cache (%d memo, %d disk), peak %d/%d workers%s%s%s, wall %s\n",
 		st.Executed, st.CacheHits+st.DiskHits, st.CacheHits, st.DiskHits, st.PeakWorkers, runner.Parallel(), shardLine, actLine, forkLine, time.Since(start).Round(time.Millisecond))
+	var memEnd runtime.MemStats
+	runtime.ReadMemStats(&memEnd)
+	fmt.Fprintf(os.Stderr, "experiments: allocated %.1f MB in %d mallocs, %d GC cycles\n",
+		float64(memEnd.TotalAlloc-memStart.TotalAlloc)/1e6, memEnd.Mallocs-memStart.Mallocs, memEnd.NumGC-memStart.NumGC)
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {

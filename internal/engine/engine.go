@@ -313,9 +313,6 @@ type Engine struct {
 	recycle        bool
 	topicsDisjoint bool     `snap:"-"`
 	payloadFree    [][]byte `snap:"-"`
-	// drained is flushWindow's scratch for one job's drained reports,
-	// reused across windows and emptied after each.
-	drained []pubsub.Message `snap:"-"`
 
 	// reserved notes that trace series and sample slices were pre-sized
 	// from the first Advance's horizon.
@@ -955,8 +952,7 @@ func (e *Engine) flushWindow(now time.Duration) {
 	}
 	var primary progress.Sample
 	for i, j := range e.jobs {
-		e.drained = j.sub.DrainInto(e.drained[:0])
-		for _, m := range e.drained {
+		for m, ok := j.sub.TryRecv(); ok; m, ok = j.sub.TryRecv() {
 			rep, err := j.dec.Unmarshal(m.Payload)
 			if err != nil {
 				// A malformed report indicates an engine bug, not user error.
@@ -969,7 +965,6 @@ func (e *Engine) flushWindow(now time.Duration) {
 			}
 			j.monitor.Offer(rep)
 		}
-		clear(e.drained)
 		s := j.monitor.Flush(now)
 		j.res.Samples = append(j.res.Samples, s)
 		j.res.RateTrace.Add(now, s.Rate)

@@ -222,3 +222,23 @@ func TestMultiWorkloadEarlierFinishLeavesCoresIdle(t *testing.T) {
 		t.Fatal("stream job recorded no progress")
 	}
 }
+
+// TestAdvanceWindowAllocations: a report goes from Publish through the
+// bus and the window drain into the monitor without allocating, so an
+// engine advanced one window at a time allocates far less than once per
+// report (LAMMPS publishes about 20 reports a window).
+func TestAdvanceWindowAllocations(t *testing.T) {
+	e, err := New(DefaultConfig(), apps.LAMMPS(apps.DefaultRanks, 5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	advance := func() {
+		if done, err := e.Advance(time.Second); err != nil || done {
+			t.Fatalf("Advance: done %v, err %v", done, err)
+		}
+	}
+	advance()
+	if allocs := testing.AllocsPerRun(100, advance); allocs >= 2 {
+		t.Fatalf("one window allocates %v times", allocs)
+	}
+}

@@ -18,6 +18,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -120,6 +121,9 @@ func (o Options) WithRunner(r *Runner) Options {
 func (o *Options) fillDefaults() error {
 	if o.RunSeconds < 0 {
 		return fmt.Errorf("experiments: negative RunSeconds %v", o.RunSeconds)
+	}
+	if math.IsNaN(o.RunSeconds) || math.IsInf(o.RunSeconds, 0) {
+		return fmt.Errorf("experiments: non-finite RunSeconds %v", o.RunSeconds)
 	}
 	if o.Reps < 0 {
 		return fmt.Errorf("experiments: negative Reps %d", o.Reps)

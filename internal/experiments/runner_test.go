@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -136,6 +137,20 @@ func TestOptionsRejectNegativeScale(t *testing.T) {
 		}
 		if _, err := All(opts); err == nil {
 			t.Errorf("All(%+v) accepted negative scale", opts)
+		}
+	}
+}
+
+// TestOptionsRejectNonFiniteRunSeconds: a NaN or infinite duration is
+// an error up front, not a panic when the first run key is hashed.
+func TestOptionsRejectNonFiniteRunSeconds(t *testing.T) {
+	for _, secs := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		o := Options{RunSeconds: secs}
+		if err := o.fillDefaults(); err == nil {
+			t.Errorf("fillDefaults accepted RunSeconds %v", secs)
+		}
+		if _, err := Table6(Options{RunSeconds: secs}); err == nil {
+			t.Errorf("Table6 accepted RunSeconds %v", secs)
 		}
 	}
 }

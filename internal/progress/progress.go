@@ -186,9 +186,11 @@ func NewReporter(app string, pub Publisher) *Reporter {
 func (r *Reporter) Publish(phase string, value float64, at time.Duration) {
 	r.sent++
 	rep := Report{App: r.app, Phase: phase, Value: value, At: at}
-	buf := make([]byte, 0, rep.MarshaledSize())
+	var buf []byte
 	if r.bufs != nil {
 		buf = r.bufs.AcquirePayload(rep.MarshaledSize())
+	} else {
+		buf = make([]byte, 0, rep.MarshaledSize())
 	}
 	r.pub.PublishPayload(r.topic, rep.AppendMarshal(buf))
 }
@@ -210,10 +212,14 @@ type Sample struct {
 // second". It is fed raw reports (from a bus subscription drain) and
 // closed out once per window by Flush.
 type Monitor struct {
-	// window is construction configuration. pending is empty at any
-	// checkpoint: Checkpoint refuses unflushed reports.
+	// window is construction configuration. The open window is folded
+	// as reports arrive: how many were accepted, their values summed in
+	// arrival order from +0, and the last one's phase. All three are zero
+	// at any checkpoint: Checkpoint refuses unflushed reports.
 	window    time.Duration `snap:"-"`
-	pending   []Report      `snap:"-"`
+	pending   int
+	pendSum   float64
+	pendPhase string
 	samples   []Sample
 	total     float64
 	reports   uint64
@@ -235,7 +241,7 @@ type Monitor struct {
 
 // Pending returns how many raw reports await the next Flush. The engine
 // requires zero before checkpointing.
-func (m *Monitor) Pending() int { return len(m.pending) }
+func (m *Monitor) Pending() int { return m.pending }
 
 // historySize is the outlier-guard ring length; outlierMinHistory is how
 // many accepted values it needs before the guard engages (a cold monitor
@@ -286,7 +292,9 @@ func (m *Monitor) Offer(r Report) bool {
 		m.history[m.histPos] = r.Value
 		m.histPos = (m.histPos + 1) % historySize
 	}
-	m.pending = append(m.pending, r)
+	m.pending++
+	m.pendSum += r.Value
+	m.pendPhase = r.Phase
 	m.total += r.Value
 	m.reports++
 	return true
@@ -319,24 +327,18 @@ func (m *Monitor) Flush(now time.Duration) Sample {
 		elapsed = m.window.Seconds()
 	}
 	m.lastFlush = now
-	var sum float64
-	phase := ""
-	for _, r := range m.pending {
-		sum += r.Value
-		phase = r.Phase
-	}
 	s := Sample{
 		At:      now,
-		Rate:    sum / elapsed,
-		Reports: len(m.pending),
-		Phase:   phase,
+		Rate:    m.pendSum / elapsed,
+		Reports: m.pending,
+		Phase:   m.pendPhase,
 	}
 	if s.Reports == 0 {
 		m.emptyWindows++
 	} else {
 		m.emptyWindows = 0
 	}
-	m.pending = m.pending[:0]
+	m.pending, m.pendSum, m.pendPhase = 0, 0, ""
 	m.samples = append(m.samples, s)
 	return s
 }

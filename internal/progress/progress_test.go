@@ -252,3 +252,80 @@ func TestMonitorNextFlushAt(t *testing.T) {
 		t.Fatalf("after flush at 2.5s, NextFlushAt = %v, want 3.5s", got)
 	}
 }
+
+// recyclingPublisher hands the Reporter back the one buffer it last
+// published, the way the engine's bus publisher recycles payloads once
+// they are decoded.
+type recyclingPublisher struct{ buf []byte }
+
+func (p *recyclingPublisher) PublishPayload(topic string, payload []byte) int {
+	p.buf = payload
+	return 1
+}
+
+func (p *recyclingPublisher) AcquirePayload(n int) []byte {
+	if cap(p.buf) < n {
+		return make([]byte, 0, n)
+	}
+	return p.buf[:0]
+}
+
+// TestReporterRecycledPublishAllocatesNothing: a Reporter whose
+// Publisher supplies recycled buffers allocates no payload of its own.
+func TestReporterRecycledPublishAllocatesNothing(t *testing.T) {
+	pub := &recyclingPublisher{}
+	r := NewReporter("lammps", pub)
+	r.Publish("verlet", 40000, time.Second)
+	if allocs := testing.AllocsPerRun(100, func() { r.Publish("verlet", 40000, time.Second) }); allocs != 0 {
+		t.Fatalf("a recycled publish allocates %v times per report", allocs)
+	}
+	if rep, err := UnmarshalReport(pub.buf); err != nil || rep.App != "lammps" || rep.Value != 40000 {
+		t.Fatalf("last payload decodes to %+v, %v", rep, err)
+	}
+}
+
+// TestMonitorWindowAllocatesNothing: the monitor folds its open window
+// as reports arrive, so neither a steady window nor a window larger than
+// any before it allocates once the outlier-guard history is full.
+func TestMonitorWindowAllocatesNothing(t *testing.T) {
+	m := NewMonitor(time.Second)
+	now := time.Duration(0)
+	window := func(n int) {
+		for i := 0; i < n; i++ {
+			m.Offer(Report{App: "lammps", Phase: "verlet", Value: 40000})
+		}
+		now += time.Second
+		m.Flush(now)
+	}
+	window(historySize)
+	if allocs := testing.AllocsPerRun(100, func() { window(25) }); allocs != 0 {
+		t.Fatalf("a steady window allocates %v times", allocs)
+	}
+	n := 512
+	if allocs := testing.AllocsPerRun(4, func() { n *= 2; window(n) }); allocs != 0 {
+		t.Fatalf("a window of %d reports allocates %v times", n, allocs)
+	}
+	if s := m.Samples()[len(m.Samples())-1]; s.Reports != n || s.Rate != float64(n)*40000 {
+		t.Fatalf("last sample = %+v, want %d reports", s, n)
+	}
+}
+
+// TestMonitorFlushSumsInArrivalOrder pins the rate's bits: the window's
+// values summed left to right from +0, divided by the elapsed time. The
+// values are chosen so that any other summation order gives other bits.
+func TestMonitorFlushSumsInArrivalOrder(t *testing.T) {
+	vals := []float64{0.1, 0.2, 0.3}
+	if (vals[0]+vals[1])+vals[2] == vals[0]+(vals[1]+vals[2]) {
+		t.Fatal("values do not tell summation orders apart")
+	}
+	m := NewMonitor(time.Second)
+	for _, v := range vals {
+		m.Offer(Report{Value: v})
+	}
+	const elapsed = 1.5
+	s := m.Flush(1500 * time.Millisecond)
+	want := ((0 + vals[0]) + vals[1]) + vals[2]
+	if math.Float64bits(s.Rate) != math.Float64bits(want/elapsed) {
+		t.Fatalf("rate = %b, want %b", math.Float64bits(s.Rate), math.Float64bits(want/elapsed))
+	}
+}

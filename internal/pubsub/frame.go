@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -85,33 +86,75 @@ func WriteFrame(w io.Writer, m Message) error {
 	return err
 }
 
-// ReadFrame reads one frame from r. It returns io.EOF cleanly when the
-// stream ends on a frame boundary and io.ErrUnexpectedEOF mid-frame.
-func ReadFrame(r io.Reader) (Message, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+// maxInterned bounds a frameReader's topic table, so a peer cycling
+// through fresh topics cannot grow it without limit; topics past it are
+// allocated per frame.
+const maxInterned = 64
+
+// frameReader reads successive frames from one stream. It keeps its
+// header and topic buffers and interns topic strings, so a frame costs
+// one allocation: the payload, which the consumer keeps.
+type frameReader struct {
+	r      io.Reader
+	hdr    [6]byte
+	topic  []byte
+	topics map[string]string
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{r: r, topics: make(map[string]string)}
+}
+
+// read reads the next frame. It returns io.EOF cleanly when the stream
+// ends on a frame boundary and io.ErrUnexpectedEOF mid-frame.
+func (fr *frameReader) read() (Message, error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:4]); err != nil {
 		return Message{}, err
 	}
-	body := binary.BigEndian.Uint32(lenBuf[:])
+	body := binary.BigEndian.Uint32(fr.hdr[:4])
 	if body > MaxFrameLen {
 		return Message{}, ErrFrameTooLarge
 	}
 	if body < 2 {
 		return Message{}, fmt.Errorf("pubsub: frame body %d shorter than topic header", body)
 	}
-	buf := make([]byte, body)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	if err := fr.fill(fr.hdr[4:6]); err != nil {
 		return Message{}, err
 	}
-	topicLen := int(binary.BigEndian.Uint16(buf[0:2]))
-	if 2+topicLen > len(buf) {
-		return Message{}, fmt.Errorf("pubsub: topic length %d exceeds frame body %d", topicLen, len(buf))
+	topicLen := int(binary.BigEndian.Uint16(fr.hdr[4:6]))
+	if 2+topicLen > int(body) {
+		return Message{}, fmt.Errorf("pubsub: topic length %d exceeds frame body %d", topicLen, body)
 	}
-	return Message{
-		Topic:   string(buf[2 : 2+topicLen]),
-		Payload: buf[2+topicLen:],
-	}, nil
+	fr.topic = slices.Grow(fr.topic[:0], topicLen)[:topicLen]
+	if err := fr.fill(fr.topic); err != nil {
+		return Message{}, err
+	}
+	payload := make([]byte, int(body)-2-topicLen)
+	if err := fr.fill(payload); err != nil {
+		return Message{}, err
+	}
+	return Message{Topic: fr.intern(fr.topic), Payload: payload}, nil
+}
+
+// fill reads exactly len(b) bytes of the frame body: the stream ending
+// here is always mid-frame.
+func (fr *frameReader) fill(b []byte) error {
+	_, err := io.ReadFull(fr.r, b)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// intern returns the canonical string for b, allocating only on first
+// sight (the map lookup keyed by string(b) does not allocate).
+func (fr *frameReader) intern(b []byte) string {
+	if s, ok := fr.topics[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(fr.topics) < maxInterned {
+		fr.topics[s] = s
+	}
+	return s
 }

@@ -14,7 +14,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := WriteFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadFrame(&buf)
+	out, err := newFrameReader(&buf).read()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestFrameEmptyPayload(t *testing.T) {
 	if err := WriteFrame(&buf, Message{Topic: "t"}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadFrame(&buf)
+	m, err := newFrameReader(&buf).read()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestFrameEmptyTopic(t *testing.T) {
 	if err := WriteFrame(&buf, Message{Payload: []byte("x")}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadFrame(&buf)
+	m, err := newFrameReader(&buf).read()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +58,9 @@ func TestFrameMultipleSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	fr := newFrameReader(&buf)
 	for i := 0; i < 10; i++ {
-		m, err := ReadFrame(&buf)
+		m, err := fr.read()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +68,7 @@ func TestFrameMultipleSequential(t *testing.T) {
 			t.Fatalf("frame %d payload = %v", i, m.Payload)
 		}
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
+	if _, err := fr.read(); err != io.EOF {
 		t.Fatalf("after last frame: err = %v, want io.EOF", err)
 	}
 }
@@ -78,7 +79,7 @@ func TestFrameTruncatedMidFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadFrame(bytes.NewReader(trunc)); err != io.ErrUnexpectedEOF {
+	if _, err := newFrameReader(bytes.NewReader(trunc)).read(); err != io.ErrUnexpectedEOF {
 		t.Fatalf("truncated frame: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
@@ -93,21 +94,21 @@ func TestFrameOversizeTopicRejected(t *testing.T) {
 func TestFrameCorruptTopicLen(t *testing.T) {
 	// body says 4 bytes, topic header claims 100.
 	raw := []byte{0, 0, 0, 4, 0, 100, 'a', 'b'}
-	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
+	if _, err := newFrameReader(bytes.NewReader(raw)).read(); err == nil {
 		t.Fatal("corrupt topic length accepted")
 	}
 }
 
 func TestFrameOversizeBodyRejected(t *testing.T) {
 	raw := []byte{0xff, 0xff, 0xff, 0xff, 0, 0}
-	if _, err := ReadFrame(bytes.NewReader(raw)); err != ErrFrameTooLarge {
+	if _, err := newFrameReader(bytes.NewReader(raw)).read(); err != ErrFrameTooLarge {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func TestFrameBodyTooShortRejected(t *testing.T) {
 	raw := []byte{0, 0, 0, 1, 0}
-	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
+	if _, err := newFrameReader(bytes.NewReader(raw)).read(); err == nil {
 		t.Fatal("one-byte body accepted")
 	}
 }
@@ -133,7 +134,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		if err := WriteFrame(&buf, in); err != nil {
 			return false
 		}
-		out, err := ReadFrame(&buf)
+		out, err := newFrameReader(&buf).read()
 		if err != nil {
 			return false
 		}
@@ -141,5 +142,52 @@ func TestFrameRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFrameReaderAllocatesOnlyPayload: the TCP read loops' frame reader
+// keeps its header and topic buffers and interns topics, so a frame
+// costs one allocation, the payload the consumer keeps.
+func TestFrameReaderAllocatesOnlyPayload(t *testing.T) {
+	frame, err := EncodeFrame(nil, Message{Topic: "progress.lammps", Payload: make([]byte, 24)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := bytes.NewReader(frame)
+	fr := newFrameReader(src)
+	var m Message
+	allocs := testing.AllocsPerRun(100, func() {
+		src.Reset(frame)
+		if m, err = fr.read(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("reading a frame allocates %v times", allocs)
+	}
+	if m.Topic != "progress.lammps" || len(m.Payload) != 24 {
+		t.Fatalf("read %q with %d payload bytes", m.Topic, len(m.Payload))
+	}
+}
+
+// TestFrameReaderBoundsTopicTable: a peer cycling through fresh topics
+// cannot grow the intern table past its bound, and every topic still
+// reads back intact.
+func TestFrameReaderBoundsTopicTable(t *testing.T) {
+	var buf bytes.Buffer
+	for i := 0; i < 2*maxInterned; i++ {
+		if err := WriteFrame(&buf, Message{Topic: strings.Repeat("t", i+1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := newFrameReader(&buf)
+	for i := 0; i < 2*maxInterned; i++ {
+		m, err := fr.read()
+		if err != nil || len(m.Topic) != i+1 {
+			t.Fatalf("frame %d: topic length %d, err %v", i, len(m.Topic), err)
+		}
+	}
+	if len(fr.topics) != maxInterned {
+		t.Fatalf("intern table holds %d topics, want %d", len(fr.topics), maxInterned)
 	}
 }

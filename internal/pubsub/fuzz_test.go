@@ -15,7 +15,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ReadFrame(bytes.NewReader(data))
+		m, err := newFrameReader(bytes.NewReader(data)).read()
 		if err != nil {
 			return
 		}
@@ -23,7 +23,7 @@ func FuzzReadFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded frame failed to re-encode: %v", err)
 		}
-		m2, err := ReadFrame(bytes.NewReader(re))
+		m2, err := newFrameReader(bytes.NewReader(re)).read()
 		if err != nil {
 			t.Fatalf("re-encoded frame failed to decode: %v", err)
 		}

@@ -86,8 +86,9 @@ func (p *Publisher) acceptLoop() {
 func (p *Publisher) readLoop(pc *pubConn) {
 	defer p.wg.Done()
 	defer p.dropConn(pc)
+	fr := newFrameReader(pc.conn)
 	for {
-		m, err := ReadFrame(pc.conn)
+		m, err := fr.read()
 		if err != nil {
 			return
 		}
@@ -319,8 +320,9 @@ func (s *Subscriber) readLoop() {
 		defer close(s.ch)
 	}
 	defer close(s.done)
+	fr := newFrameReader(s.conn)
 	for {
-		m, err := ReadFrame(s.conn)
+		m, err := fr.read()
 		if err != nil {
 			return
 		}
