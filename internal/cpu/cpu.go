@@ -39,12 +39,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cpu: StepMHz = %v, need > 0", c.StepMHz)
 	case c.MinMHz <= 0 || c.MinMHz > c.NomMHz || c.NomMHz > c.MaxMHz:
 		return fmt.Errorf("cpu: frequency range min=%v nom=%v max=%v is not ordered", c.MinMHz, c.NomMHz, c.MaxMHz)
+	case math.Mod(c.MinMHz, c.StepMHz) != 0 || math.Mod(c.MaxMHz, c.StepMHz) != 0:
+		return fmt.Errorf("cpu: frequency range min=%v max=%v is not on the %v MHz step grid", c.MinMHz, c.MaxMHz, c.StepMHz)
 	}
 	return nil
 }
 
 // Ladder returns the P-state frequencies from MinMHz to MaxMHz inclusive,
-// ascending, quantized by StepMHz.
+// ascending, quantized by StepMHz: for a valid config, exactly the values
+// Quantize can return.
 func (c Config) Ladder() []float64 {
 	var out []float64
 	for f := c.MinMHz; f <= c.MaxMHz+1e-9; f += c.StepMHz {

@@ -19,6 +19,8 @@ func TestConfigValidateRejectsBadValues(t *testing.T) {
 		{Cores: 1, MinMHz: 0, NomMHz: 2000, MaxMHz: 3000, StepMHz: 100},
 		{Cores: 1, MinMHz: 2500, NomMHz: 2000, MaxMHz: 3000, StepMHz: 100},
 		{Cores: 1, MinMHz: 1000, NomMHz: 3500, MaxMHz: 3000, StepMHz: 100},
+		{Cores: 1, MinMHz: 1050, NomMHz: 2000, MaxMHz: 3000, StepMHz: 100},
+		{Cores: 1, MinMHz: 1000, NomMHz: 2000, MaxMHz: 3250, StepMHz: 100},
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {

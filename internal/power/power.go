@@ -150,13 +150,11 @@ func (m Model) FreqForCoreBudget(budget float64, nEngaged, idleCores int, a, min
 	if nEngaged <= 0 {
 		return maxMHz, true
 	}
-	static := float64(nEngaged+idleCores) * m.CoreStaticW
-	dynBudget := budget - static
-	denom := float64(nEngaged) * m.CoreDynMaxW * m.ActivityFactor(a)
-	if dynBudget <= 0 || denom <= 0 {
+	x, ok := m.CoreBudgetRatio(budget, nEngaged, idleCores, a)
+	if !ok {
 		return minMHz, false
 	}
-	rel := math.Pow(dynBudget/denom, 1/m.AlphaHW)
+	rel := math.Pow(x, 1/m.AlphaHW)
 	f := rel * m.RefMHz
 	if f < minMHz {
 		return minMHz, false
@@ -165,6 +163,19 @@ func (m Model) FreqForCoreBudget(budget float64, nEngaged, idleCores int, a, min
 		f = maxMHz
 	}
 	return f, true
+}
+
+// CoreBudgetRatio returns the ratio x that FreqForCoreBudget inverts to
+// RefMHz·x^(1/α_HW): dynamic budget over dynamic power at RefMHz. ok is
+// false where there is no positive budget or denominator to invert.
+func (m Model) CoreBudgetRatio(budget float64, nEngaged, idleCores int, a float64) (x float64, ok bool) {
+	static := float64(nEngaged+idleCores) * m.CoreStaticW
+	dynBudget := budget - static
+	denom := float64(nEngaged) * m.CoreDynMaxW * m.ActivityFactor(a)
+	if dynBudget <= 0 || denom <= 0 {
+		return 0, false
+	}
+	return dynBudget / denom, true
 }
 
 // NodeState is the instantaneous operating point the meter integrates.

@@ -107,10 +107,9 @@ type Controller struct {
 	decayDt     time.Duration `snap:"-"`
 	fastDecay   float64       `snap:"-"`
 	demandDecay float64       `snap:"-"`
-	// minFreqFactor is model.FreqFactor(MinMHz), the core floor's
-	// frequency scaling, fixed by the model and the domain's P-state
-	// range.
-	minFreqFactor float64 `snap:"-"`
+	// ladder is the domain's P-state ladder under the model, shared
+	// read-only with every controller of the same model and range.
+	ladder *ladder `snap:"-"`
 
 	// Quiescence tracking: uncappedIdle records that the last Control
 	// found no enabled PL1 limit (from a successful register read) and
@@ -149,18 +148,18 @@ func New(dev *msr.Device, domain *cpu.Domain, uncore *cpu.Uncore, model power.Mo
 	}
 	u := msr.DecodeUnits(raw)
 	return &Controller{
-		dev:           dev,
-		domain:        domain,
-		uncore:        uncore,
-		model:         model,
-		meter:         meter,
-		opts:          opts,
-		units:         u,
-		energy:        msr.NewEnergyCounter(u),
-		dramEnergy:    msr.NewEnergyCounter(u),
-		fastDecay:     1,
-		demandDecay:   1,
-		minFreqFactor: model.FreqFactor(domain.Config().MinMHz),
+		dev:         dev,
+		domain:      domain,
+		uncore:      uncore,
+		model:       model,
+		meter:       meter,
+		opts:        opts,
+		units:       u,
+		energy:      msr.NewEnergyCounter(u),
+		dramEnergy:  msr.NewEnergyCounter(u),
+		fastDecay:   1,
+		demandDecay: 1,
+		ladder:      ladderFor(model, domain.Config()),
 	}, nil
 }
 
@@ -322,7 +321,8 @@ func (c *Controller) enforce(capW float64) {
 
 	// Step 2: if the core floor (minimum P-state, full duty) still does
 	// not fit, squeeze uncore bandwidth further to make room.
-	coreFloorW := c.model.CorePowerAt(nEng, nIdle, c.minFreqFactor, 1, act)
+	minFreqFactor := c.ladder.x[0]
+	coreFloorW := c.model.CorePowerAt(nEng, nIdle, minFreqFactor, 1, act)
 	if coreBudget < coreFloorW && nEng > 0 {
 		uncoreDynBudget := capW - coreFloorW - c.model.UncoreStaticW
 		switch {
@@ -336,7 +336,7 @@ func (c *Controller) enforce(capW float64) {
 	}
 
 	// Step 3: P-state actuation; duty-cycle modulation below the floor.
-	f, ok := c.model.FreqForCoreBudget(coreBudget, nEng, nIdle, act, cfg.MinMHz, cfg.MaxMHz)
+	f, ok := c.ladder.grant(c.model, coreBudget, nEng, nIdle, act)
 	granted := c.domain.SetTargetMHz(f)
 
 	// Step 4: uncore frequency coupling. Under an enabled cap the
@@ -354,7 +354,7 @@ func (c *Controller) enforce(capW float64) {
 		c.domain.SetDuty(1)
 	} else {
 		static := float64(nEng+nIdle) * c.model.CoreStaticW
-		dynAtMin := float64(nEng) * c.model.CoreDynMaxW * c.model.ActivityFactor(act) * c.minFreqFactor
+		dynAtMin := float64(nEng) * c.model.CoreDynMaxW * c.model.ActivityFactor(act) * minFreqFactor
 		duty := 1.0
 		if dynAtMin > 0 {
 			duty = (coreBudget - static) / dynAtMin
