@@ -121,7 +121,7 @@ func main() {
 			},
 			Seed: *seed,
 		})
-		if err := e.SetSchemeVia(scheme, rapl.DaemonWriter{A: act}); err != nil {
+		if err := e.SetSchemeVia(scheme, rapl.Writer{Act: act}); err != nil {
 			log.Fatal(err)
 		}
 	default:

@@ -19,7 +19,6 @@ import (
 	"progresscap/internal/engine"
 	"progresscap/internal/fault"
 	"progresscap/internal/lease"
-	"progresscap/internal/msr"
 	"progresscap/internal/rapl"
 	"progresscap/internal/stats"
 	"progresscap/internal/trace"
@@ -74,25 +73,11 @@ func (n *Node) Engine() *engine.Engine { return n.eng }
 // RegisterCapW decodes the cap currently latched in the node's RAPL
 // register (0 = uncapped) — the ground truth the soak oracles check
 // against the ledger and the budget.
-func (n *Node) RegisterCapW() (float64, error) {
-	raw, err := n.eng.Device().Read(msr.PkgPowerLimit)
-	if err != nil {
-		return 0, err
-	}
-	unitRaw, err := n.eng.Device().Read(msr.RaplPowerUnit)
-	if err != nil {
-		return 0, err
-	}
-	pl1, _ := msr.DecodePowerLimits(raw, msr.DecodeUnits(unitRaw))
-	if !pl1.Enabled {
-		return 0, nil
-	}
-	return pl1.Watts, nil
-}
+func (n *Node) RegisterCapW() (float64, error) { return rapl.ReadLimit(n.eng.Device()) }
 
 // writeCap programs the node's package power limit (0 = uncapped).
 func (n *Node) writeCap(capW float64) error {
-	return rapl.WriteLimitRetry(n.eng.Device(), capW, 10*time.Millisecond)
+	return rapl.Writer{Dev: n.eng.Device()}.WriteCap(n.eng.Clock().Now(), capW, 10*time.Millisecond)
 }
 
 // observedRate is the node's online performance over its last monitor

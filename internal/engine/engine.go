@@ -500,23 +500,18 @@ func (e *Engine) Done() bool {
 func (e *Engine) SetWindowHook(fn func(WindowStats)) { e.windowHook = fn }
 
 // SetScheme installs a power-policy daemon applying the scheme once per
-// second, as the paper's tool does. Call before the first Advance.
+// second through the node's registers, as the paper's tool does. Call
+// before the first Advance.
 func (e *Engine) SetScheme(s policy.Scheme) error {
-	d, err := policy.NewDaemon(e.dev, s, time.Second, 10*time.Millisecond)
-	if err != nil {
-		return err
-	}
-	e.daemon = d
-	e.policyTicker = simtime.NewTicker(0, d.Interval())
-	return nil
+	return e.SetSchemeVia(s, rapl.Writer{Dev: e.dev})
 }
 
 // SetSchemeVia is SetScheme actuating through an explicit CapWriter
-// (e.g. the hardened rapl.Actuator wrapped in rapl.DaemonWriter, which
-// may drive the sysfs powercap backend instead of raw registers). Call
-// before the first Advance.
+// (e.g. rapl.Writer over the hardened rapl.Actuator, which may drive
+// the sysfs powercap backend instead of raw registers). Call before the
+// first Advance.
 func (e *Engine) SetSchemeVia(s policy.Scheme, w policy.CapWriter) error {
-	d, err := policy.NewDaemonVia(w, s, time.Second, 10*time.Millisecond)
+	d, err := policy.NewDaemon(w, s, time.Second, 10*time.Millisecond)
 	if err != nil {
 		return err
 	}

@@ -175,7 +175,7 @@ func backendFaultSweep(opts Options) (*trace.Table, []string, error) {
 			},
 			Seed: opts.Seed,
 		})
-		if err := e.SetSchemeVia(policy.Constant{Watts: capW}, rapl.DaemonWriter{A: act}); err != nil {
+		if err := e.SetSchemeVia(policy.Constant{Watts: capW}, rapl.Writer{Act: act}); err != nil {
 			return nil, nil, err
 		}
 		if _, err := e.Advance(dur); err != nil {
@@ -242,7 +242,7 @@ func backendOutage(opts Options) (*trace.Table, []string, error) {
 		Seed:     opts.Seed,
 		OnPark:   func(now time.Duration, capW float64) { parks = append(parks, now) },
 	})
-	if err := e.SetSchemeVia(policy.Constant{Watts: capW}, rapl.DaemonWriter{A: act}); err != nil {
+	if err := e.SetSchemeVia(policy.Constant{Watts: capW}, rapl.Writer{Act: act}); err != nil {
 		return nil, nil, err
 	}
 	if err := e.SetDeadman(rapl.Deadman{TTL: ttl, DefaultCapW: safeCapW}); err != nil {

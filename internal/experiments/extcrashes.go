@@ -10,7 +10,6 @@ import (
 	"progresscap/internal/apps"
 	"progresscap/internal/engine"
 	"progresscap/internal/journal"
-	"progresscap/internal/msr"
 	"progresscap/internal/nrm"
 	"progresscap/internal/rapl"
 	"progresscap/internal/supervise"
@@ -45,23 +44,6 @@ type CrashReport struct {
 	BreakPanics    int
 	SafeCapW       float64
 	PostBreakPeakW float64
-}
-
-// readCapW decodes the currently programmed PL1 (0 when disabled).
-func readCapW(dev *msr.Device) (float64, error) {
-	raw, err := dev.Read(msr.PkgPowerLimit)
-	if err != nil {
-		return 0, err
-	}
-	unitRaw, err := dev.Read(msr.RaplPowerUnit)
-	if err != nil {
-		return 0, err
-	}
-	pl1, _ := msr.DecodePowerLimits(raw, msr.DecodeUnits(unitRaw))
-	if !pl1.Enabled {
-		return 0, nil
-	}
-	return pl1.Watts, nil
 }
 
 // peakOver returns the worst window-average power above a level after a
@@ -160,7 +142,7 @@ func RunCrashHarness(opts Options, killAt time.Duration) (*CrashReport, error) {
 				for {
 					if !killed && ec.Clock().Now() >= killAt {
 						killed = true
-						rep.PreCrashCapW, _ = readCapW(ec.Device())
+						rep.PreCrashCapW, _ = rapl.ReadLimit(ec.Device())
 						panic("chaos: policy daemon killed")
 					}
 					done, serr := n.Step()
@@ -221,12 +203,12 @@ func RunCrashHarness(opts Options, killAt time.Duration) (*CrashReport, error) {
 			break
 		}
 	}
-	rep.DeadmanCapBeforeW, _ = readCapW(ed.Device())
+	rep.DeadmanCapBeforeW, _ = rapl.ReadLimit(ed.Device())
 	// Permanent death: nobody re-arms; the node runs on.
 	if _, err := ed.Advance(8 * time.Second); err != nil {
 		return nil, err
 	}
-	rep.DeadmanCapAfterW, _ = readCapW(ed.Device())
+	rep.DeadmanCapAfterW, _ = rapl.ReadLimit(ed.Device())
 	rep.DeadmanTrips = ed.Controller().DeadmanTrips()
 	if _, err := ed.Finish(); err != nil {
 		return nil, err
@@ -248,7 +230,7 @@ func RunCrashHarness(opts Options, killAt time.Duration) (*CrashReport, error) {
 		Backoff:     time.Second,
 		Sleep:       func(d time.Duration) { _, _ = ep.Advance(d) },
 		OnBreak: func(unitName string, cause error) {
-			_ = rapl.WriteLimit(ep.Device(), rep.SafeCapW, 10*time.Millisecond)
+			_ = rapl.Writer{Dev: ep.Device()}.WriteCap(ep.Clock().Now(), rep.SafeCapW, 10*time.Millisecond)
 		},
 	})
 	unitC := supervise.Unit{

@@ -334,7 +334,7 @@ func build(rs RunSpec) (*builtRun, error) {
 		if scheme == nil {
 			scheme = policy.NoCap{}
 		}
-		if err := eng.SetSchemeVia(scheme, rapl.DaemonWriter{A: b.act}); err != nil {
+		if err := eng.SetSchemeVia(scheme, rapl.Writer{Act: b.act}); err != nil {
 			return nil, err
 		}
 	case rs.Scheme != nil:

@@ -25,7 +25,6 @@
 package nrm
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -157,9 +156,10 @@ type Config struct {
 
 	// Actuator, when set, routes every RAPL cap write through the
 	// hardened multi-backend actuator (retry/backoff, health-state
-	// failover, safe-cap park) instead of the legacy single-retry MSR
-	// path. Nil preserves the legacy path byte-for-byte; the actuator's
-	// counters are merged into Counters() so they ride the decision log.
+	// failover, safe-cap park absorbed by rapl.Writer) instead of the
+	// plain single-retry MSR path. Nil keeps the plain path; the
+	// actuator's counters are merged into Counters() so they ride the
+	// decision log.
 	Actuator *rapl.Actuator
 }
 
@@ -684,30 +684,14 @@ func (n *NRM) decide(now time.Duration) Decision {
 
 // actuate applies a decision through the node's control surfaces.
 func (n *NRM) actuate(dec Decision) error {
-	writeCap := func(watts float64) error {
-		if a := n.cfg.Actuator; a != nil {
-			err := a.WriteCap(dec.At, watts)
-			if errors.Is(err, rapl.ErrAllBackendsDown) {
-				// Parked at the safe cap with the deadman guarding the
-				// register: the safety response already happened, so the
-				// daemon stays up and re-tries next epoch rather than
-				// crash-looping through its restart budget during an
-				// actuation outage.
-				return nil
-			}
-			return err
-		}
-		retries, err := rapl.WriteLimitRetryN(n.eng.Device(), watts, 10*time.Millisecond)
-		n.counters.MSRRetries += retries
-		return err
-	}
+	w := rapl.Writer{Dev: n.eng.Device(), Act: n.cfg.Actuator}
 	switch dec.Knob {
 	case KnobNone:
 		n.eng.Controller().SetManual(false)
-		return writeCap(0)
+		return w.WriteCap(dec.At, 0, 10*time.Millisecond)
 	case KnobRAPL:
 		n.eng.Controller().SetManual(false)
-		return writeCap(dec.Setting)
+		return w.WriteCap(dec.At, dec.Setting, 10*time.Millisecond)
 	case KnobDVFS:
 		n.eng.SetManualDVFS(dec.Setting)
 		return nil

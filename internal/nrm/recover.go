@@ -13,8 +13,6 @@ import (
 // restarted thing the daemon survived. A snapshot rides along in each
 // Decision so the decision log doubles as the counter stream.
 type Counters struct {
-	// MSRRetries counts cap writes that needed the transient-EIO retry.
-	MSRRetries int
 	// EnergyReadFailures counts energy-accounting intervals whose MSR
 	// reads failed even after retry (the energy defers to the next good
 	// read, so this is lag, not loss).
@@ -28,8 +26,7 @@ type Counters struct {
 	// Recoveries counts journal-replay restorations (1 after Restore).
 	Recoveries int
 	// Actuation is the hardened actuator's retry/failover/park counter
-	// snapshot, populated only when Config.Actuator is set (the legacy
-	// MSR path reports its retries through MSRRetries instead).
+	// snapshot, populated only when Config.Actuator is set.
 	Actuation rapl.ActuatorCounters
 }
 

@@ -13,8 +13,6 @@ import (
 	"math"
 	"time"
 
-	"progresscap/internal/msr"
-	"progresscap/internal/rapl"
 	"progresscap/internal/trace"
 )
 
@@ -129,22 +127,15 @@ func (j Jagged) CapAt(t time.Duration) float64 {
 	return math.Max(w, j.LowW)
 }
 
-// CapWriter is the actuation seam the daemon programs caps through: the
-// default implementation writes the MSR directly (the legacy path,
-// byte-identical to the pre-seam daemon), while the hardened
-// rapl.Actuator is plugged in via rapl.DaemonWriter for runs that want
-// retry/backoff/failover semantics or the sysfs backend.
+// CapWriter is the actuation seam the daemon programs caps through.
+// rapl.Writer is the implementation every run uses: the plain register
+// path with one transient-EIO retry, or, with its Act set, the hardened
+// rapl.Actuator for retry/backoff/failover semantics or the sysfs
+// backend.
 type CapWriter interface {
 	// WriteCap programs the cap (watts <= 0 releases it) with the given
 	// RAPL averaging window at virtual time now.
 	WriteCap(now time.Duration, watts float64, window time.Duration) error
-}
-
-// msrWriter is the default register-level CapWriter.
-type msrWriter struct{ dev *msr.Device }
-
-func (w msrWriter) WriteCap(now time.Duration, watts float64, window time.Duration) error {
-	return rapl.WriteLimit(w.dev, watts, window)
 }
 
 // Daemon applies a scheme to the package power limit at a fixed interval
@@ -163,17 +154,10 @@ type Daemon struct {
 	applied  uint64
 }
 
-// NewDaemon returns a daemon applying scheme through dev. interval is the
+// NewDaemon returns a daemon applying scheme through w. interval is the
 // actuation period (1 s in the paper); window the RAPL averaging window
 // programmed alongside the cap.
-func NewDaemon(dev *msr.Device, scheme Scheme, interval, window time.Duration) (*Daemon, error) {
-	return NewDaemonVia(msrWriter{dev: dev}, scheme, interval, window)
-}
-
-// NewDaemonVia is NewDaemon actuating through an explicit CapWriter —
-// the hardened actuator, a sysfs backend, or anything else that can
-// program a cap.
-func NewDaemonVia(w CapWriter, scheme Scheme, interval, window time.Duration) (*Daemon, error) {
+func NewDaemon(w CapWriter, scheme Scheme, interval, window time.Duration) (*Daemon, error) {
 	if w == nil {
 		return nil, fmt.Errorf("policy: nil cap writer")
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"progresscap/internal/msr"
+	"progresscap/internal/rapl"
 )
 
 func TestConstantScheme(t *testing.T) {
@@ -100,7 +101,7 @@ func TestJaggedNeverBelowLow(t *testing.T) {
 
 func TestDaemonAppliesSchemeThroughMSR(t *testing.T) {
 	dev := msr.NewDevice(24, nil)
-	d, err := NewDaemon(dev, Constant{Watts: 120}, time.Second, 10*time.Millisecond)
+	d, err := NewDaemon(rapl.Writer{Dev: dev}, Constant{Watts: 120}, time.Second, 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestDaemonAppliesSchemeThroughMSR(t *testing.T) {
 func TestDaemonAnchorsSchemeAtFirstApply(t *testing.T) {
 	dev := msr.NewDevice(24, nil)
 	lin := Linear{Delay: 0, StartW: 200, MinW: 100, RateWPerSec: 10}
-	d, err := NewDaemon(dev, lin, time.Second, 10*time.Millisecond)
+	d, err := NewDaemon(rapl.Writer{Dev: dev}, lin, time.Second, 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestDaemonAnchorsSchemeAtFirstApply(t *testing.T) {
 
 func TestDaemonRecordsCapTrace(t *testing.T) {
 	dev := msr.NewDevice(24, nil)
-	d, _ := NewDaemon(dev, Step{HighW: Uncapped, LowW: 90, HighFor: 2 * time.Second, LowFor: 2 * time.Second},
+	d, _ := NewDaemon(rapl.Writer{Dev: dev}, Step{HighW: Uncapped, LowW: 90, HighFor: 2 * time.Second, LowFor: 2 * time.Second},
 		time.Second, 10*time.Millisecond)
 	for sec := 0; sec < 6; sec++ {
 		if err := d.Apply(time.Duration(sec) * time.Second); err != nil {
@@ -170,13 +171,13 @@ func TestDaemonRecordsCapTrace(t *testing.T) {
 
 func TestNewDaemonValidation(t *testing.T) {
 	dev := msr.NewDevice(1, nil)
-	if _, err := NewDaemon(dev, nil, time.Second, time.Second); err == nil {
+	if _, err := NewDaemon(rapl.Writer{Dev: dev}, nil, time.Second, time.Second); err == nil {
 		t.Fatal("nil scheme accepted")
 	}
-	if _, err := NewDaemon(dev, NoCap{}, 0, time.Second); err == nil {
+	if _, err := NewDaemon(rapl.Writer{Dev: dev}, NoCap{}, 0, time.Second); err == nil {
 		t.Fatal("zero interval accepted")
 	}
-	if _, err := NewDaemon(dev, NoCap{}, time.Second, 0); err == nil {
+	if _, err := NewDaemon(rapl.Writer{Dev: dev}, NoCap{}, time.Second, 0); err == nil {
 		t.Fatal("zero window accepted")
 	}
 }
@@ -186,7 +187,7 @@ func TestDaemonSurfacesWhitelistFailure(t *testing.T) {
 	// msr-safe configuration) must surface the write failure through
 	// Apply rather than silently not capping.
 	dev := msr.NewDevice(4, map[uint32]uint64{})
-	d, err := NewDaemon(dev, Constant{Watts: 100}, time.Second, 10*time.Millisecond)
+	d, err := NewDaemon(rapl.Writer{Dev: dev}, Constant{Watts: 100}, time.Second, 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,6 +199,35 @@ func TestDaemonSurfacesWhitelistFailure(t *testing.T) {
 	}
 	if d.CapTrace().Len() != 0 {
 		t.Fatal("cap trace recorded a failed application")
+	}
+}
+
+func TestDaemonRetriesTransientEIO(t *testing.T) {
+	// One transient EIO on the daemon's first device access (the unit
+	// register read that precedes the power-limit write) must not abort
+	// the run: the write is retried and the cap still latches.
+	dev := msr.NewDevice(4, nil)
+	accesses := 0
+	dev.SetFaultHook(func(op msr.FaultOp, addr uint32) msr.FaultClass {
+		accesses++
+		if accesses == 1 {
+			return msr.FaultEIO
+		}
+		return msr.FaultNone
+	})
+	d, err := NewDaemon(rapl.Writer{Dev: dev}, Constant{Watts: 70}, time.Second, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Apply(0); err != nil {
+		t.Fatalf("Apply after one transient EIO: %v", err)
+	}
+	dev.SetFaultHook(nil)
+	if w, err := rapl.ReadLimit(dev); err != nil || math.Abs(w-70) > 0.5 {
+		t.Fatalf("programmed cap = %v W (err %v), want 70", w, err)
+	}
+	if d.Applied() != 1 {
+		t.Fatalf("Applied = %d", d.Applied())
 	}
 }
 

@@ -167,12 +167,13 @@ func (m Model) FreqForCoreBudget(budget float64, nEngaged, idleCores int, a, min
 
 // CoreBudgetRatio returns the ratio x that FreqForCoreBudget inverts to
 // RefMHz·x^(1/α_HW): dynamic budget over dynamic power at RefMHz. ok is
-// false where there is no positive budget or denominator to invert.
+// false where there is no positive budget or denominator to invert,
+// NaN included, so a NaN budget takes the minMHz/duty fallback.
 func (m Model) CoreBudgetRatio(budget float64, nEngaged, idleCores int, a float64) (x float64, ok bool) {
 	static := float64(nEngaged+idleCores) * m.CoreStaticW
 	dynBudget := budget - static
 	denom := float64(nEngaged) * m.CoreDynMaxW * m.ActivityFactor(a)
-	if dynBudget <= 0 || denom <= 0 {
+	if !(dynBudget > 0) || !(denom > 0) {
 		return 0, false
 	}
 	return dynBudget / denom, true

@@ -132,12 +132,16 @@ func TestFreqForCoreBudgetSaturatesHigh(t *testing.T) {
 
 func TestFreqForCoreBudgetBelowFloor(t *testing.T) {
 	m := DefaultModel()
-	f, ok := m.FreqForCoreBudget(10, 24, 0, 1, 1000, 3300)
-	if ok {
-		t.Fatalf("10 W for 24 cores fit: f=%v", f)
-	}
-	if f != 1000 {
-		t.Fatalf("below-floor frequency = %v, want min", f)
+	// A NaN budget has nothing to invert either: it must take the same
+	// minMHz/duty fallback instead of handing back a NaN frequency.
+	for _, budget := range []float64{10, math.NaN()} {
+		f, ok := m.FreqForCoreBudget(budget, 24, 0, 1, 1000, 3300)
+		if ok {
+			t.Fatalf("%v W for 24 cores fit: f=%v", budget, f)
+		}
+		if f != 1000 {
+			t.Fatalf("%v W: below-floor frequency = %v, want min", budget, f)
+		}
 	}
 }
 

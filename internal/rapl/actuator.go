@@ -1,8 +1,8 @@
 package rapl
 
-// Hardened multi-backend power actuation. The legacy helpers
-// (WriteLimitRetry and friends) retry a transient EIO exactly once and
-// otherwise surface the error; that is the right shape for the
+// Hardened multi-backend power actuation. The plain register path
+// (Writer with no Actuator) retries a transient EIO exactly once and
+// otherwise surfaces the error; that is the right shape for the
 // byte-identical baseline paths, but a production power manager drives
 // caps through whichever interface the node offers — raw msr-safe
 // registers or the powercap sysfs tree — and each fails in its own
@@ -28,7 +28,8 @@ package rapl
 // comes from a simtime RNG and time only advances by modeled backoff.
 // The Actuator is strictly opt-in — no default engine, NRM, or cluster
 // path constructs one, so runs that do not ask for hardened actuation
-// execute the exact same device accesses as before.
+// execute the exact same device accesses as before. Callers plug it in
+// as Writer{Act: a}, which is also the one place a park is absorbed.
 
 import (
 	"errors"
@@ -70,7 +71,7 @@ type Backend interface {
 const MSRSampleCost = 2 * time.Microsecond
 
 // MSRBackend actuates through the register-level device, reusing the
-// same WriteLimit encoding as the legacy path.
+// same WriteLimit encoding as the plain Writer path.
 type MSRBackend struct {
 	dev    *msr.Device
 	units  msr.Units
@@ -505,29 +506,6 @@ func (a *Actuator) Status() []BackendStatus {
 
 // SafeCapW returns the configured park cap.
 func (a *Actuator) SafeCapW() float64 { return a.cfg.SafeCapW }
-
-// DaemonWriter adapts the actuator to the policy daemon's CapWriter
-// shape (the averaging window is carried by each backend's own
-// convention, so it is accepted and ignored here).
-//
-// A park — every backend down, safe cap programmed best-effort — is
-// absorbed rather than propagated: the park IS the safety response
-// (the node sits at the safe cap, the deadman reverts it in hardware
-// within one TTL regardless), so a total backend outage must not abort
-// the run the way a daemon write error normally would. The outage is
-// still visible in Counters().Parks.
-type DaemonWriter struct {
-	A *Actuator
-}
-
-// WriteCap satisfies policy.CapWriter.
-func (w DaemonWriter) WriteCap(now time.Duration, watts float64, window time.Duration) error {
-	err := w.A.WriteCap(now, watts)
-	if errors.Is(err, ErrAllBackendsDown) {
-		return nil
-	}
-	return err
-}
 
 // Sampler polls a backend's energy counter at a fixed interval,
 // accumulating wrap-safe joules and the modeled monitoring overhead —

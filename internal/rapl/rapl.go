@@ -28,6 +28,7 @@
 package rapl
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -453,24 +454,61 @@ func WriteLimits(dev *msr.Device, pl1W float64, pl1Window time.Duration, pl2W fl
 	return dev.Write(msr.PkgPowerLimit, msr.EncodePowerLimits(pl1, pl2, msr.DecodeUnits(raw)))
 }
 
-// WriteLimitRetry is WriteLimit hardened for transient MSR failures: an
-// ErrIO is retried once before being reported. Persistent failures still
-// surface so the policy layer can enter its degraded path.
-func WriteLimitRetry(dev *msr.Device, watts float64, window time.Duration) error {
-	_, err := WriteLimitRetryN(dev, watts, window)
-	return err
+// ReadLimit decodes the PL1 cap latched in the package power-limit
+// register (0 = uncapped): the power-limit register first, then the
+// unit register, the order fault-injected reads are drawn in.
+func ReadLimit(dev *msr.Device) (float64, error) {
+	raw, err := dev.Read(msr.PkgPowerLimit)
+	if err != nil {
+		return 0, err
+	}
+	unitRaw, err := dev.Read(msr.RaplPowerUnit)
+	if err != nil {
+		return 0, err
+	}
+	pl1, _ := msr.DecodePowerLimits(raw, msr.DecodeUnits(unitRaw))
+	if !pl1.Enabled {
+		return 0, nil
+	}
+	return pl1.Watts, nil
 }
 
-// WriteLimitRetryN is WriteLimitRetry reporting how many retries the
-// write needed (0 or 1), so policy layers can expose an EIO-retry
-// counter instead of burying transient faults in logs.
-func WriteLimitRetryN(dev *msr.Device, watts float64, window time.Duration) (retries int, err error) {
-	err = WriteLimit(dev, watts, window)
-	if err == msr.ErrIO {
-		retries = 1
-		err = WriteLimit(dev, watts, window)
+// Writer is the one software cap-write path: the policy daemon, the
+// cluster nodes, the NRM and the circuit breaker's safe cap all program
+// the package power limit through it. It satisfies policy.CapWriter.
+//
+// With Act nil it writes the register through WriteLimit and retries a
+// transient EIO once; the EIO may come from the unit-register read as
+// well as from the write itself. Persistent failures surface so the
+// caller can enter its degraded path.
+//
+// With Act set it drives the hardened actuator, and a park (every
+// backend down, safe cap programmed best-effort) is absorbed here rather
+// than propagated: the park IS the safety response (the node sits at the
+// safe cap and the deadman reverts it in hardware within one TTL), so a
+// total backend outage must not abort a run or burn a supervisor's
+// restart budget. The outage stays visible in Act.Counters().Parks.
+type Writer struct {
+	Dev *msr.Device
+	Act *Actuator
+}
+
+// WriteCap programs the cap (watts <= 0 releases it) with the given
+// averaging window at virtual time now. The actuator's backends carry
+// their own window, so with Act set window is ignored.
+func (w Writer) WriteCap(now time.Duration, watts float64, window time.Duration) error {
+	if w.Act != nil {
+		err := w.Act.WriteCap(now, watts)
+		if errors.Is(err, ErrAllBackendsDown) {
+			return nil
+		}
+		return err
 	}
-	return retries, err
+	err := WriteLimit(w.Dev, watts, window)
+	if err == msr.ErrIO {
+		err = WriteLimit(w.Dev, watts, window)
+	}
+	return err
 }
 
 // EnergyReader accumulates package energy from the wrapping
